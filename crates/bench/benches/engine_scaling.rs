@@ -16,16 +16,14 @@
 //! `=<millis>` for a custom floor) if the 1000-cluster seven-heuristic batch
 //! median exceeds the 100 ms absolute-time floor.
 //!
-//! The report also carries the **adaptive-K probe**: the candidate-row width
-//! K is a pure performance knob (schedules are byte-identical for any K ≥ 1,
-//! pinned by the core's parity test and the root `proptest_invariants`
-//! parity proptest), so the sweep runs one batch per K ∈ {2, 4, 8, 16, 32}
-//! at 500 and 1000 clusters and records each configuration's repair rate,
-//! rescan count and wall time under `k_best_probe`, plus the width
-//! `adaptive_k_best(n)` actually picks per sweep size — the evidence behind
-//! the per-policy width tables (`adaptive_k_best_for`: static rows stay at
-//! K=1, gradually decaying policies step 2 → 4 → 6, steeply decaying ones
-//! 2 → 4 → 8).
+//! The report also carries the **K probe**: the candidate-row width K is a
+//! pure performance knob (schedules are byte-identical for any K ≥ 1, pinned
+//! by the core's parity test and the root `proptest_invariants` parity
+//! proptest), so the sweep runs one batch per K ∈ {2, 4, 8, 16, 32} at 500
+//! and 1000 clusters through `ScheduleEngine::with_k_best` and records each
+//! width's repair rate, rescan count and wall time under `k_best_probe` —
+//! the evidence behind the one default width, `DEFAULT_K_BEST`, which every
+//! point records as `k_best`.
 //!
 //! Under `ENGINE_SCALING_FRONTIER=1` the report additionally measures a
 //! 10 000-cluster frontier point (grid generation plus one seven-heuristic
@@ -36,7 +34,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gridcast_bench::random_problem;
 use gridcast_core::{
-    adaptive_k_best, schedule_all_sharded, EngineTelemetry, HeuristicKind, ScheduleEngine,
+    schedule_all_sharded, EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -77,13 +75,12 @@ const MAX_SHARDED_RATIO: f64 = 1.05;
 /// baseline JSON when the baseline gate is enabled.
 const MAX_BASELINE_REGRESSION: f64 = 1.15;
 
-/// Candidate-row widths swept by the adaptive-K probe. The small widths are
-/// the interesting ones: the calibrated default picks 2 or 4 (see
-/// `adaptive_k_best`), and the wide rows document what the extra repair
-/// rate costs in row maintenance.
+/// Candidate-row widths swept by the K probe. The small widths are the
+/// interesting ones: the default is 2 (`DEFAULT_K_BEST`), and the wide rows
+/// document what the extra repair rate costs in row maintenance.
 const K_PROBE_WIDTHS: [usize; 5] = [2, 4, 8, 16, 32];
 
-/// Cluster counts the adaptive-K probe measures (where the repair rate
+/// Cluster counts the K probe measures (where the repair rate
 /// actually degrades; see the committed telemetry).
 const K_PROBE_SIZES: [usize; 2] = [500, 1000];
 
@@ -317,7 +314,7 @@ fn report_scaling() {
     }
 }
 
-/// One measurement of the adaptive-K probe: a full seven-heuristic batch run
+/// One measurement of the K probe: a full seven-heuristic batch run
 /// with candidate rows of width `k`.
 struct KProbePoint {
     clusters: usize,
@@ -438,9 +435,8 @@ fn measure_frontier() -> String {
     block.push_str("  \"frontier\": {\n");
     let _ = writeln!(
         block,
-        "    \"clusters\": {FRONTIER_CLUSTERS}, \"adaptive_k\": {}, \
-         \"generate_secs\": {generate_secs:.2}, \"batch_secs\": {batch_secs:.2},",
-        adaptive_k_best(FRONTIER_CLUSTERS)
+        "    \"clusters\": {FRONTIER_CLUSTERS}, \"k_best\": {DEFAULT_K_BEST}, \
+         \"generate_secs\": {generate_secs:.2}, \"batch_secs\": {batch_secs:.2},"
     );
     let _ = writeln!(
         block,
@@ -491,12 +487,9 @@ fn write_report(points: &[Point], exponent: f64, probe: &[KProbePoint], frontier
         };
         let _ = write!(
             json,
-            "    {{\"clusters\": {}, \"adaptive_k\": {}, \"median_ns\": {:.0}, \
+            "    {{\"clusters\": {}, \"k_best\": {DEFAULT_K_BEST}, \"median_ns\": {:.0}, \
              \"growth_vs_prev\": {:.2}",
-            point.clusters,
-            adaptive_k_best(point.clusters),
-            point.median_ns,
-            growth
+            point.clusters, point.median_ns, growth
         );
         if let Some((serial, sharded)) = point.sharded_pair_ns {
             let _ = write!(

@@ -18,6 +18,8 @@
 //!   `O(n^p)` cost would fit `p`);
 //! * `points` — one object per cluster count, with:
 //!   * `clusters`, `median_ns` — batched `schedule_all` median wall time;
+//!   * `k_best` — the candidate-row width of the measured engine
+//!     ([`gridcast_core::DEFAULT_K_BEST`], the same at every size);
 //!   * `growth_vs_prev` — ratio to the previous point's `median_ns`;
 //!   * `sharded_median_ns` — median wall time of the heuristic-sharded
 //!     `schedule_all_sharded` (only emitted for 500+ clusters, where the
@@ -30,7 +32,13 @@
 //!     walks), `bucket_skips` (ready-order buckets the walk retired
 //!     wholesale via their cached lower bound) and the derived
 //!     `repair_rate` (repaired-from-runner-up / invalidations);
-//! * `k_best_probe` — the adaptive-K telemetry: one object per
+//! * `frontier` — the 10 000-cluster point (`clusters`, the row width it
+//!   ran at, `generate_secs`, `batch_secs`, rescan counters, `repair_rate`
+//!   and each heuristic's predicted makespan), measured under
+//!   `ENGINE_SCALING_FRONTIER=1` and carried over verbatim otherwise — a
+//!   block measured before the width became one constant names it
+//!   `adaptive_k`, a fresh one `k_best`;
+//! * `k_best_probe` — the candidate-row width probe: one object per
 //!   (cluster count, K) pair for K ∈ {2, 4, 8, 16, 32} at 500/1000
 //!   clusters, with the warmed batch wall time (`batch_ns`), `repair_rate`,
 //!   `rescans`, `walked_senders` and `bucket_skips` of a

@@ -77,117 +77,3 @@ fn exchange_heap_work_is_pinned_and_sub_quadratic() {
         "exchange heap work grew {growth:.2}x from 100 to 200 clusters (quadratic-in-T would be ~16x)"
     );
 }
-
-/// Exact pins on the batch-shift scheduler's work at 64 clusters (T = 4032)
-/// and 400 clusters (T = 159 600): main-heap pops and governance re-homes
-/// (`exchange_migrations` — each one now an O(log) adopted-heap push instead
-/// of a sorted-`Vec` memmove). Deterministic; if an intentional improvement
-/// moves them, re-pin — if they grew, the flip-free adoption path regressed.
-#[cfg(feature = "fast-math")]
-const PINNED_BS_POPS_64: u64 = 83_109;
-#[cfg(feature = "fast-math")]
-const PINNED_BS_MIGRATIONS_64: u64 = 40_137;
-#[cfg(feature = "fast-math")]
-const PINNED_BS_POPS_400: u64 = 9_667_783;
-#[cfg(feature = "fast-math")]
-const PINNED_BS_MIGRATIONS_400: u64 = 4_764_768;
-
-/// The feature-gated batch-shift scheduler keys *clusters* instead of
-/// transfers (with versioned entries instead of re-keys), so on dense
-/// all-to-alls its heap work grows ~O(T^1.3) against the lazy heap's
-/// ~O(T^1.5) — and since the flip-free adopted-heap bounds landed, each of
-/// the ~√n-per-transfer governance re-homes costs O(log) instead of a
-/// Θ(queue) memmove, so the measured pop growth (~6.0x per cluster-count
-/// doubling, both 100→200 and 200→400) is also the wall-clock growth. The
-/// core's proptests pin its timing conformance; this pins the *work* — exact
-/// pops/re-homes at 64 and 400 clusters, zero re-keys, and the growth rate —
-/// so an edit that silently degrades it back towards per-transfer staling or
-/// per-re-home restructuring turns the build red.
-#[cfg(feature = "fast-math")]
-#[test]
-fn batch_shift_work_beats_the_heap_and_grows_slower() {
-    let mut engine = ScheduleEngine::new();
-    engine.take_telemetry();
-
-    let set = alltoall_transfer_set(64, 1000);
-    let t64 = set.transfers().len() as u64;
-    let fast = engine.schedule_transfers_batch_shift(&set);
-    let tel = engine.take_telemetry();
-    assert_eq!(tel.exchange_commits, t64);
-    // Versioned entries never re-key: every pop either commits, defers or
-    // re-homes a non-governing head, or discards a superseded/drained entry.
-    assert_eq!(
-        tel.exchange_reinserts, 0,
-        "batch-shift re-keyed an entry — versioning is broken"
-    );
-    assert_eq!(
-        (tel.exchange_pops, tel.exchange_migrations),
-        (PINNED_BS_POPS_64, PINNED_BS_MIGRATIONS_64),
-        "batch-shift telemetry drifted on the pinned 64-cluster all-to-all"
-    );
-    // Discarded pops are bounded by the pushes that superseded them: two per
-    // commit, up to two per deferral/re-home, plus the initial seeding.
-    let pushes = 2 * tel.exchange_commits + 2 * tel.exchange_migrations + 64;
-    assert!(
-        tel.exchange_pops <= pushes,
-        "batch-shift popped {} entries but pushed at most {pushes}",
-        tel.exchange_pops
-    );
-
-    // The lazy heap's work on the identical workload is ~2.7x larger at 64
-    // clusters (226k pops vs ~84k); assert a conservative margin so the
-    // comparison survives workload drift.
-    let heap = engine.schedule_transfers(&set);
-    let heap_tel = engine.take_telemetry();
-    assert!(
-        tel.exchange_pops * 2 < heap_tel.exchange_pops,
-        "batch-shift ({} pops) should do at least 2x less work than the \
-         lazy heap ({} pops) on a dense 64-cluster all-to-all",
-        tel.exchange_pops,
-        heap_tel.exchange_pops
-    );
-
-    // Growth gate: doubling the cluster count quadruples T. The batch-shift
-    // pops grow 6.00x from 100 to 200 clusters and 5.92x from 200 to 400
-    // (T^1.29); the lazy heap's grow ~7.8x (T^1.5). Gate every step at 6.5x —
-    // tight enough that per-transfer staling (or any regression of the
-    // flip-free re-homes back towards restructuring work that shows up as
-    // extra pops) fails, loose enough for workload drift. The 400-cluster
-    // point is also pinned exactly: growth ratios alone would let a
-    // proportional inflation at every size slide through.
-    let mut pops = Vec::new();
-    for clusters in [100usize, 200, 400] {
-        let set = alltoall_transfer_set(clusters, 2000 + clusters as u64);
-        let _ = engine.schedule_transfers_batch_shift(&set);
-        let tel = engine.take_telemetry();
-        assert_eq!(tel.exchange_commits, set.transfers().len() as u64);
-        assert_eq!(tel.exchange_reinserts, 0, "{clusters} clusters: re-key");
-        if clusters == 400 {
-            assert_eq!(
-                (tel.exchange_pops, tel.exchange_migrations),
-                (PINNED_BS_POPS_400, PINNED_BS_MIGRATIONS_400),
-                "batch-shift telemetry drifted on the pinned 400-cluster all-to-all"
-            );
-        }
-        pops.push(tel.exchange_pops);
-    }
-    for (i, (&a, &b)) in pops.iter().zip(&pops[1..]).enumerate() {
-        let growth = b as f64 / a as f64;
-        assert!(
-            growth < 6.5,
-            "batch-shift work grew {growth:.2}x at step {i} of 100 -> 200 -> 400 \
-             clusters (the lazy heap's per-transfer staling grows ~7.8x)"
-        );
-    }
-
-    // Coarse conformance guard on the wiring (the tight relative-tolerance
-    // property lives in the core's `batch_shift` proptest module).
-    assert_eq!(fast.transfers.len(), heap.transfers.len());
-    for (a, b) in fast.interface_free.iter().zip(&heap.interface_free) {
-        let (a, b) = (a.as_secs(), b.as_secs());
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-9),
-            "batch-shift interface_free diverged from the heap: {a} vs {b}"
-        );
-    }
-}

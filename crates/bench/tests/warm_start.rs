@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The candidate-row widths the sweep exercises: the degenerate head-only
-/// cache, small caches, and one past the adaptive default.
+/// cache, the default width, and wider rows.
 const K_SWEEP: [usize; 4] = [1, 2, 4, 16];
 
 fn assert_schedules_bit_identical(warm: &Schedule, cold: &Schedule, what: &str) {

@@ -51,8 +51,9 @@
 //! [`LookaheadWorkspace`] this brings a full schedule to `O(n² log n)` from the
 //! seed's `O(n³)` (and worse with lookahead), with the rescan term — the
 //! remaining super-quadratic contribution — amortised away by the runner-up
-//! repairs (`benches/engine_scaling.rs` counts them; on Table-2 grids the
-//! repair rate is >99% at 100 clusters and still ~89% at 1000 — see the
+//! repairs and the pruned walk (`benches/engine_scaling.rs` counts them; at
+//! the default width on Table-2 grids the repair rate is ~59% at 100
+//! clusters and ~46% at 1000, and the growth exponent stays near 2 — see the
 //! committed `BENCH_engine_scaling.json`).
 //!
 //! All engine buffers are reused across rounds, heuristics and problems: after
@@ -107,20 +108,20 @@ fn debug_assert_score_not_nan(score: Time) {
 /// Sentinel sender id meaning "no cached entry".
 const NO_SENDER: u32 = u32::MAX;
 
-/// The widest candidate-row width the tuning ever considers (the best entry
-/// plus `K − 1` runners-up). Once the upper end of [`adaptive_k_best`]'s
-/// range and still the cap for the `engine_scaling` probe sweep; since the
-/// per-receiver pruned rescan walk made row misses cheap, the measured
-/// optimum sits far below it (see [`adaptive_k_best`]) and wide rows only
-/// pay insertion shuffles for repairs that rarely need the depth.
+/// The candidate-row width `K` of a [`ScheduleEngine::new`] engine: the best
+/// entry plus `K − 1` runners-up per receiver, for every policy and every
+/// problem size.
 ///
 /// The row width is a **pure performance knob**: schedules are byte-identical
 /// for any `K ≥ 1` (the row head is kept exact and rescans rebuild exact
-/// rows), so both [`adaptive_k_best`] and the [`ScheduleEngine::with_k_best`]
-/// override are free to pick any width — the `engine_scaling` bench sweeps
-/// K ∈ {2, 4, 8, 16, 32} at 500/1000 clusters and records the per-K repair
-/// rates plus the adaptive choice per size in `BENCH_engine_scaling.json`.
-pub const DEFAULT_K_BEST: usize = 16;
+/// rows), so [`ScheduleEngine::with_k_best`] may override it freely. Wider
+/// rows repair more invalidations in place but pay insertion shuffles on
+/// every offer; since the per-receiver pruned rescan walk made row misses
+/// cheap, the `engine_scaling` probe (K ∈ {2, 4, 8, 16, 32} at 500 and 1000
+/// clusters, in `BENCH_engine_scaling.json`) and the end-to-end A/B in
+/// `BENCH_ablation.json` measured no width beating 2 at the sizes the
+/// benchmarks run.
+pub const DEFAULT_K_BEST: usize = 2;
 
 /// Senders per bucket of the ready-order index: each bucket of the sorted
 /// sender array carries a cached minimum of `fl(ready + r_s)` (the per-sender
@@ -130,97 +131,6 @@ pub const DEFAULT_K_BEST: usize = 16;
 /// marking cheap; the minima are recomputed lazily, only when a walk actually
 /// reaches a dirty bucket.
 const WALK_BUCKET: usize = 32;
-
-/// The adaptive candidate-row width for the steepest-decay policy class: the
-/// **widest** `K` a default-constructed [`ScheduleEngine`] uses for an
-/// `n`-cluster problem.
-///
-/// Because schedules are byte-identical for any `K ≥ 1`, this is pure tuning.
-/// The width table is now **per policy** ([`adaptive_k_best_for`], keyed by
-/// [`SelectionPolicy::row_decay`]): Flat Tree and FEF never invalidate a
-/// cached score and run width 1, plain ECEF gets the moderate table, and the
-/// lookahead family plus BottomUp — whose repair rate decays hardest with n —
-/// get this, the [`RowDecay::Steep`] column. [`ScheduleEngine::with_k_best`]
-/// overrides every class with one fixed width (the `engine_scaling` probe is
-/// built on that override).
-pub fn adaptive_k_best(n: usize) -> usize {
-    adaptive_k_best_for(RowDecay::Steep, n)
-}
-
-/// How fast a policy's repair rate decays with the problem size — the class
-/// a [`SelectionPolicy`] reports via [`SelectionPolicy::row_decay`] so the
-/// adaptive width table ([`adaptive_k_best_for`]) can size candidate rows
-/// per policy instead of one-width-fits-all.
-///
-/// The classes come straight from the telemetry sweep in
-/// `BENCH_engine_scaling.json`:
-///
-/// - [`RowDecay::Static`] — policies whose scores never change once cached
-///   (Flat Tree and FEF commit **zero** invalidations at every size), so any
-///   runner-up slot is pure insertion-shuffle overhead. Width 1.
-/// - [`RowDecay::Gradual`] — sender-time-sensitive policies without
-///   lookahead bias (plain ECEF): invalidations grow with n but most repairs
-///   land in the first runner-up slots.
-/// - [`RowDecay::Steep`] — the lookahead family and BottomUp, whose repair
-///   rate at a fixed width falls hardest with n (0.67 at 1000 clusters at
-///   K = 4; K = 8 recovers 0.80): rows widen one notch earlier and one notch
-///   further.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowDecay {
-    /// Cached scores never invalidate: width 1 at every size.
-    Static,
-    /// Invalidations grow with n but repairs stay shallow.
-    #[default]
-    Gradual,
-    /// Repair rate decays fastest with n; widen early and far.
-    Steep,
-}
-
-/// The per-policy size-aware candidate-row width table: the `K` a
-/// default-constructed [`ScheduleEngine`] uses for an `n`-cluster problem
-/// under a policy of the given [`RowDecay`] class.
-///
-/// Like [`adaptive_k_best`] (which is now the [`RowDecay::Steep`] column,
-/// the widest), this is pure tuning — schedules are byte-identical for any
-/// `K ≥ 1` — calibrated from the `k_best_probe` repair rates in
-/// `BENCH_engine_scaling.json`.
-pub fn adaptive_k_best_for(decay: RowDecay, n: usize) -> usize {
-    match decay {
-        RowDecay::Static => 1,
-        RowDecay::Gradual => match n {
-            0..=256 => 2,
-            257..=768 => 4,
-            _ => 6,
-        },
-        RowDecay::Steep => match n {
-            0..=192 => 2,
-            193..=512 => 4,
-            _ => 8,
-        },
-    }
-}
-
-/// Runtime candidate-row width: adaptive per problem size and policy class
-/// by default, fixed when overridden via [`ScheduleEngine::with_k_best`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum KBest {
-    /// Resolve to [`adaptive_k_best_for`] of the policy's [`RowDecay`] class
-    /// and the problem size at each run.
-    #[default]
-    Adaptive,
-    /// Always use this width.
-    Fixed(usize),
-}
-
-impl KBest {
-    #[inline]
-    fn resolve_for(self, decay: RowDecay, n: usize) -> usize {
-        match self {
-            KBest::Adaptive => adaptive_k_best_for(decay, n),
-            KBest::Fixed(k) => k,
-        }
-    }
-}
 
 /// Read-only view of the engine state handed to policies.
 ///
@@ -737,13 +647,6 @@ pub struct EngineTelemetry {
     /// Candidate completions evaluated by the retained O(T²) oracle scan
     /// ([`ScheduleEngine::schedule_transfers_quadratic`]).
     pub exchange_oracle_scans: u64,
-    /// Heads the batch-shift exchange scheduler stepped past because their
-    /// cluster was not the governing (later) endpoint — deferred to the
-    /// partner's queue, or (when both static copies had already been passed)
-    /// adopted by the now-governing partner's side min-heap
-    /// (`ScheduleEngine::schedule_transfers_batch_shift`; stays zero
-    /// without the `fast-math` feature).
-    pub exchange_migrations: u64,
     /// Commits replayed **verbatim** from a [`CommitLog`] during a warm-start
     /// run ([`ScheduleEngine::reschedule_perturbed`] and friends): the logged
     /// selection was trusted outright and only the event times were
@@ -862,15 +765,6 @@ impl EngineTelemetry {
         #[cfg(feature = "telemetry")]
         {
             self.exchange_oracle_scans += 1;
-        }
-    }
-
-    #[inline]
-    #[cfg_attr(not(feature = "fast-math"), allow(dead_code))]
-    fn exchange_migration(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.exchange_migrations += 1;
         }
     }
 
@@ -1027,22 +921,6 @@ pub trait SelectionPolicy: Send {
     /// When `false` the engine skips ready-time invalidation entirely.
     fn sender_time_sensitive(&self) -> bool {
         true
-    }
-
-    /// Which column of the size-aware width table ([`adaptive_k_best_for`])
-    /// sizes this policy's candidate rows. Pure tuning — schedules are
-    /// byte-identical for any width — so the default is derived from
-    /// [`SelectionPolicy::sender_time_sensitive`]: insensitive policies never
-    /// invalidate a cached score ([`RowDecay::Static`], width 1), sensitive
-    /// ones get the moderate [`RowDecay::Gradual`] table. Policies whose
-    /// telemetry shows the repair rate decaying hard with problem size (the
-    /// lookahead family, BottomUp) override this to [`RowDecay::Steep`].
-    fn row_decay(&self) -> RowDecay {
-        if self.sender_time_sensitive() {
-            RowDecay::Gradual
-        } else {
-            RowDecay::Static
-        }
     }
 
     /// A static per-receiver bound `c_j` tightening the generic
@@ -1389,12 +1267,10 @@ struct EngineState {
     /// position changed); recomputed lazily by the next walk that reaches
     /// them.
     bucket_dirty: Vec<bool>,
-    /// Candidate-row width policy: [`adaptive_k_best`] of the problem size
-    /// unless fixed via [`ScheduleEngine::with_k_best`]; a pure performance
-    /// knob — schedules stay byte-identical for any `K ≥ 1`.
-    k_best: KBest,
-    /// The width `k_best` resolved to for the problem of the current run.
-    k_run: usize,
+    /// Candidate-row width: [`DEFAULT_K_BEST`] unless fixed via
+    /// [`ScheduleEngine::with_k_best`]; a pure performance knob — schedules
+    /// stay byte-identical for any `K ≥ 1`.
+    k_best: usize,
     /// Warm-replay scratch: clusters whose ready time may have drifted from
     /// the logged run because they committed a transfer over a perturbed
     /// (dirty) edge — or inherited drift from an earlier tainted commit.
@@ -1407,7 +1283,7 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn reset(&mut self, problem: &BroadcastProblem, decay: RowDecay) {
+    fn reset(&mut self, problem: &BroadcastProblem) {
         let n = problem.num_clusters();
         let root = problem.root.index();
         self.in_a.clear();
@@ -1426,8 +1302,7 @@ impl EngineState {
                 self.receivers.push(c as u32);
             }
         }
-        let k = self.k_best.resolve_for(decay, n);
-        self.k_run = k;
+        let k = self.k_best;
         self.cand_score.clear();
         self.cand_score.resize(n * k, Time::INFINITY);
         self.cand_sender.clear();
@@ -1491,7 +1366,7 @@ impl EngineState {
             n: problem.num_clusters(),
         };
         let root = problem.root;
-        let k = self.k_run;
+        let k = self.k_best;
         for &r in &self.receivers {
             let row = r as usize * k;
             self.cand_sender[row] = root.index() as u32;
@@ -1531,20 +1406,10 @@ impl EngineState {
         }
     }
 
-    fn select<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &mut P,
-    ) -> (ClusterId, ClusterId) {
-        let ((_, r, s), _) = self.select_full::<P, false>(problem, policy);
-        (ClusterId(s as usize), ClusterId(r as usize))
-    }
-
     /// The selection scan, optionally tracking the round's runner-up tuple
-    /// for commit logging. `TRACK` is a const generic so the ordinary
-    /// [`EngineState::select`] path compiles to the exact scan it always was
-    /// — the second-best bookkeeping exists only in the logged
-    /// monomorphization.
+    /// for commit logging. `TRACK` is a const generic so the unlogged path
+    /// compiles to the plain scan — the second-best bookkeeping exists only
+    /// in the logged monomorphization.
     fn select_full<P: SelectionPolicy + ?Sized, const TRACK: bool>(
         &mut self,
         problem: &BroadcastProblem,
@@ -1623,12 +1488,23 @@ impl EngineState {
     /// at the tail sizes. Skips use a strict `>` on bounds that hold under
     /// rounded arithmetic, so the produced rows are bit-identical to the
     /// plain walk's.
-    fn rescan_pending<P: SelectionPolicy + ?Sized>(
+    ///
+    /// `PRUNE = false` is the warm-start rebuild: the walk visits all of A,
+    /// with neither the retirement bound nor the bucket skips. Those bounds
+    /// (`ready + offset` is a lower bound on the score) only hold for
+    /// sender-time-sensitive policies; Flat Tree and FEF score on matrix
+    /// entries alone, so [`EngineState::repair_and_finish`] — which, unlike
+    /// the commit path, runs for *every* policy — must walk everything. It
+    /// runs once per reschedule, not once per commit, so the missing pruning
+    /// is irrelevant; both instances compute the exact lexicographic top
+    /// `K_BEST + 1`, so the rows, floors and gates are bit-identical wherever
+    /// both are sound.
+    fn rescan_pending<P: SelectionPolicy + ?Sized, const PRUNE: bool>(
         &mut self,
         problem: &BroadcastProblem,
         policy: &P,
     ) {
-        let k = self.k_run;
+        let k = self.k_best;
         let stride = k + 1;
         let EngineState {
             in_a,
@@ -1682,39 +1558,42 @@ impl EngineState {
             let mut lo = 0usize;
             'walk: while lo < len {
                 let hi = (lo + WALK_BUCKET).min(len);
-                let b = lo / WALK_BUCKET;
-                // The bucket's first sender has the smallest ready time of
-                // every sender left (the order is sorted): this is the
-                // per-sender retirement bound applied at bucket granularity,
-                // and it runs *before* any dirty-minimum recompute so
-                // unreachable buckets never pay one.
-                let t0 = ready[order[lo] as usize];
-                if filled == stride && t0 + off1 + off2 > row[k].0 {
-                    break;
-                }
-                if bucket_dirty[b] {
-                    let mut m = Time::INFINITY;
-                    for &s in &order[lo..hi] {
-                        let v = ready[s as usize] + sender_offset[s as usize];
-                        if v < m {
-                            m = v;
-                        }
+                if PRUNE {
+                    let b = lo / WALK_BUCKET;
+                    // The bucket's first sender has the smallest ready time
+                    // of every sender left (the order is sorted): this is
+                    // the per-sender retirement bound applied at bucket
+                    // granularity, and it runs *before* any dirty-minimum
+                    // recompute so unreachable buckets never pay one.
+                    let t0 = ready[order[lo] as usize];
+                    if filled == stride && t0 + off1 + off2 > row[k].0 {
+                        break;
                     }
-                    bucket_min[b] = m;
-                    bucket_dirty[b] = false;
-                }
-                // Bucket skip: every sender in the bucket scores at least
-                // `fl(fl(ready + r_s) + d_j) >= fl(bucket_min + d_j)`
-                // (rounded float addition is monotone in each operand) —
-                // strictly above the provisional floor means no member can
-                // enter the row or lower it, so the whole bucket retires on
-                // one comparison. The sums must be computed exactly as
-                // written; ties (`==`) are never skipped, preserving the lex
-                // `(score, sender)` order bit for bit.
-                if filled == stride && bucket_min[b] + off2 > row[k].0 {
-                    telemetry.bucket_skip();
-                    lo = hi;
-                    continue;
+                    if bucket_dirty[b] {
+                        let mut m = Time::INFINITY;
+                        for &s in &order[lo..hi] {
+                            let v = ready[s as usize] + sender_offset[s as usize];
+                            if v < m {
+                                m = v;
+                            }
+                        }
+                        bucket_min[b] = m;
+                        bucket_dirty[b] = false;
+                    }
+                    // Bucket skip: every sender in the bucket scores at
+                    // least `fl(fl(ready + r_s) + d_j) >= fl(bucket_min +
+                    // d_j)` (rounded float addition is monotone in each
+                    // operand) — strictly above the provisional floor means
+                    // no member can enter the row or lower it, so the whole
+                    // bucket retires on one comparison. The sums must be
+                    // computed exactly as written; ties (`==`) are never
+                    // skipped, preserving the lex `(score, sender)` order
+                    // bit for bit.
+                    if filled == stride && bucket_min[b] + off2 > row[k].0 {
+                        telemetry.bucket_skip();
+                        lo = hi;
+                        continue;
+                    }
                 }
                 for &s in &order[lo..hi] {
                     let t = ready[s as usize];
@@ -1724,7 +1603,7 @@ impl EngineState {
                     // computed exactly as written, left to right — a
                     // rearranged `t > floor - c_j` is not float-equivalent
                     // and could cut the walk one sender too early.
-                    if filled == stride && t + off1 + off2 > row[k].0 {
+                    if PRUNE && filled == stride && t + off1 + off2 > row[k].0 {
                         break 'walk;
                     }
                     telemetry.walked_sender();
@@ -1796,7 +1675,7 @@ impl EngineState {
         s: u32,
     ) -> bool {
         let j = receiver as usize;
-        let k = self.k_run;
+        let k = self.k_best;
         let len = self.cand_len[j] as usize;
         let row = &mut self.cand_score[j * k..j * k + len];
         let senders = &mut self.cand_sender[j * k..j * k + len];
@@ -1855,7 +1734,7 @@ impl EngineState {
     /// the gate stays `∞` and every offer takes the exact slow path.
     #[inline]
     fn refresh_gate(&mut self, j: usize) {
-        let k = self.k_run;
+        let k = self.k_best;
         self.gate[j] = if self.cand_len[j] as usize == k {
             self.cand_score[j * k + k - 1].max(self.floor_score[j])
         } else {
@@ -1863,96 +1742,21 @@ impl EngineState {
         };
     }
 
-    /// Offers the freshly-joined sender `new_sender` to `receiver` in
-    /// `O(K_BEST)`: it is inserted into the candidate row at its lex position
-    /// (the overflowing last entry, a valid lower bound for its sender, is
-    /// folded into the floor) or, failing that, tightens the floor directly.
+    /// Offers the freshly-joined sender `new_sender` to every receiver of the
+    /// contiguous run `receivers[from..to]` in `O(K_BEST)` each: it is
+    /// inserted into the candidate row at its lex position (the overflowing
+    /// last entry, a valid lower bound for its sender, is folded into the
+    /// floor) or, failing that, tightens the floor directly. The commit loop
+    /// hands it the stretches between invalidated receivers, and a repaired
+    /// receiver as a run of one.
     ///
     /// Fast path: a score strictly above `gate[j]` beats neither the row tail
     /// nor the floor (both comparisons are lex on `(score, sender)`, so a
-    /// strictly larger score loses regardless of the sender id) and returns
-    /// after one dense load.
-    fn offer<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &P,
-        receiver: u32,
-        new_sender: u32,
-    ) {
-        let j = receiver as usize;
-        // Sender-major view: the commit loop offers the same fresh sender to
-        // every receiver, streaming that sender's contiguous `tx` row.
-        let view = EngineView {
-            problem,
-            in_a: &self.in_a,
-            ready: &self.ready,
-            mat: &self.tx,
-            receiver_major: false,
-            receivers: &self.receivers,
-            n: problem.num_clusters(),
-        };
-        let score = policy.edge_score(&view, ClusterId(new_sender as usize), ClusterId(j));
-        debug_assert_score_not_nan(score);
-        if score > self.gate[j] {
-            return;
-        }
-        let entry = (score, new_sender);
-        let k = self.k_run;
-        let len = self.cand_len[j] as usize;
-        let row = &mut self.cand_score[j * k..(j + 1) * k];
-        let senders = &mut self.cand_sender[j * k..(j + 1) * k];
-        if len < k {
-            // Room in the row: plain sorted insert.
-            let mut slot = len;
-            while slot > 0 && (row[slot - 1], senders[slot - 1]) > entry {
-                row[slot] = row[slot - 1];
-                senders[slot] = senders[slot - 1];
-                slot -= 1;
-            }
-            row[slot] = entry.0;
-            senders[slot] = entry.1;
-            self.cand_len[j] = (len + 1) as u32;
-            if slot == 0 {
-                self.best_score[j] = entry.0;
-                self.best_sender[j] = entry.1;
-            }
-        } else if entry < (row[k - 1], senders[k - 1]) {
-            // Displace the last entry; its cached score is a valid lower bound
-            // for its sender, so folding it into the floor keeps invariant 3.
-            let dropped = (row[k - 1], senders[k - 1]);
-            let mut slot = k - 1;
-            while slot > 0 && (row[slot - 1], senders[slot - 1]) > entry {
-                row[slot] = row[slot - 1];
-                senders[slot] = senders[slot - 1];
-                slot -= 1;
-            }
-            row[slot] = entry.0;
-            senders[slot] = entry.1;
-            if slot == 0 {
-                self.best_score[j] = entry.0;
-                self.best_sender[j] = entry.1;
-            }
-            if dropped < (self.floor_score[j], self.floor_sender[j]) {
-                self.floor_score[j] = dropped.0;
-                self.floor_sender[j] = dropped.1;
-            }
-        } else if entry < (self.floor_score[j], self.floor_sender[j]) {
-            // Outside the row: the floor must keep bounding it.
-            self.floor_score[j] = entry.0;
-            self.floor_sender[j] = entry.1;
-        }
-        self.refresh_gate(j);
-    }
-
-    /// Offers the freshly-joined sender to the contiguous run
-    /// `receivers[from..to]` — the stretches between invalidated receivers in
-    /// the commit loop. Semantically identical to calling
-    /// [`EngineState::offer`] once per receiver (same order, same arithmetic,
-    /// byte-identical rows); fusing the run hoists the view construction and
-    /// the borrow plumbing out of the per-receiver work, so the dominant fast
-    /// path (score strictly above the gate) compiles to one dense row read
-    /// and a compare. With ~`|B|` offers per commit this loop is the engine's
-    /// single hottest stretch at the large sizes.
+    /// strictly larger score loses regardless of the sender id) and moves on
+    /// after one dense load. Fusing the run hoists the view construction and
+    /// the borrow plumbing out of the per-receiver work; with ~`|B|` offers
+    /// per commit this loop is the engine's single hottest stretch at the
+    /// large sizes.
     fn offer_run<P: SelectionPolicy + ?Sized>(
         &mut self,
         problem: &BroadcastProblem,
@@ -1961,7 +1765,7 @@ impl EngineState {
         to: usize,
         new_sender: u32,
     ) {
-        let k = self.k_run;
+        let k = self.k_best;
         let EngineState {
             in_a,
             ready,
@@ -1977,8 +1781,8 @@ impl EngineState {
             gate,
             ..
         } = self;
-        // Sender-major view, exactly like `offer`'s: the run streams one
-        // fresh sender's `tx` row across many receivers.
+        // Sender-major view: the run streams one fresh sender's `tx` row
+        // across many receivers.
         let view = EngineView {
             problem,
             in_a,
@@ -2166,11 +1970,11 @@ impl EngineState {
         // Everyone else is offered the new sender in O(K_BEST).
         let sensitive = policy.sender_time_sensitive();
         debug_assert!(self.pending.is_empty());
-        // Same per-receiver order and arithmetic as one `offer` call each;
-        // the stretches between invalidated receivers go through the fused
-        // `offer_run` (an offer only mutates its own receiver's state, so
-        // scanning a run's invalidation checks up front observes the same
-        // `best_sender` values the one-at-a-time loop would).
+        // Receivers are offered in list order; the stretches between
+        // invalidated receivers go through one fused `offer_run` each (an
+        // offer only mutates its own receiver's state, so scanning a run's
+        // invalidation checks up front observes the same `best_sender`
+        // values a one-at-a-time loop would).
         let mut i = 0;
         let b_len = self.receivers.len();
         while i < b_len {
@@ -2178,7 +1982,7 @@ impl EngineState {
             if sensitive && self.best_sender[j as usize] == s as u32 {
                 self.telemetry.invalidation();
                 if self.repair_invalidated(problem, policy, j, s as u32) {
-                    self.offer(problem, policy, j, r as u32);
+                    self.offer_run(problem, policy, i, i + 1, r as u32);
                 } else {
                     self.pending.push(j);
                 }
@@ -2194,7 +1998,7 @@ impl EngineState {
             }
         }
         if !self.pending.is_empty() {
-            self.rescan_pending(problem, policy);
+            self.rescan_pending::<P, true>(problem, policy);
         }
     }
 
@@ -2303,109 +2107,6 @@ impl EngineState {
         self.fill_matrices(n, true, |s, r| (costs.gap(s, r), costs.latency(s, r)));
     }
 
-    /// Rebuilds the candidate rows (and floors) of every receiver in
-    /// `pending` with one **unpruned** walk over A per receiver — the
-    /// warm-start sibling of [`EngineState::rescan_pending`]. The pruned
-    /// walk's retirement bound (`ready + offset` is a lower bound on the
-    /// score) only holds for sender-time-sensitive policies; Flat Tree and
-    /// FEF score on matrix entries alone, so a warm-start rebuild — which,
-    /// unlike the commit path, runs for *every* policy — must visit all of A.
-    /// It runs once per reschedule, not once per commit, so the missing
-    /// pruning is irrelevant; the produced rows, floors and gates are
-    /// bit-identical to what the pruned walk yields where both are sound
-    /// (both compute the exact lexicographic top `K_BEST + 1`).
-    fn rebuild_pending_unpruned<P: SelectionPolicy + ?Sized>(
-        &mut self,
-        problem: &BroadcastProblem,
-        policy: &P,
-    ) {
-        let k = self.k_run;
-        let stride = k + 1;
-        let EngineState {
-            in_a,
-            ready,
-            order,
-            cand_score,
-            cand_sender,
-            cand_len,
-            best_score,
-            best_sender,
-            floor_score,
-            floor_sender,
-            gate,
-            pending,
-            tops,
-            rx,
-            receivers,
-            telemetry,
-            ..
-        } = self;
-        let view = EngineView {
-            problem,
-            in_a,
-            ready,
-            mat: rx,
-            receiver_major: true,
-            receivers,
-            n: problem.num_clusters(),
-        };
-        tops.clear();
-        tops.resize(stride, (Time::INFINITY, NO_SENDER));
-        for &jr in pending.iter() {
-            telemetry.rescan();
-            let j = jr as usize;
-            let row = &mut tops[..stride];
-            let mut filled = 0usize;
-            for &s in order.iter() {
-                telemetry.walked_sender();
-                let score = policy.edge_score(&view, ClusterId(s as usize), ClusterId(j));
-                debug_assert_score_not_nan(score);
-                let entry = (score, s);
-                if filled < stride {
-                    let mut slot = filled;
-                    while slot > 0 && row[slot - 1] > entry {
-                        row[slot] = row[slot - 1];
-                        slot -= 1;
-                    }
-                    row[slot] = entry;
-                    filled += 1;
-                } else if entry < row[k] {
-                    let mut slot = k;
-                    while slot > 0 && row[slot - 1] > entry {
-                        row[slot] = row[slot - 1];
-                        slot -= 1;
-                    }
-                    row[slot] = entry;
-                }
-            }
-            debug_assert!(filled > 0, "set A is never empty");
-            let keep = filled.min(k);
-            for (slot, &(score, s)) in row[..keep].iter().enumerate() {
-                cand_score[j * k + slot] = score;
-                cand_sender[j * k + slot] = s;
-            }
-            cand_len[j] = keep as u32;
-            best_score[j] = cand_score[j * k];
-            best_sender[j] = cand_sender[j * k];
-            if filled == stride {
-                floor_score[j] = row[k].0;
-                floor_sender[j] = row[k].1;
-            } else {
-                floor_score[j] = Time::INFINITY;
-                floor_sender[j] = NO_SENDER;
-            }
-            gate[j] = if keep == k {
-                cand_score[j * k + k - 1].max(floor_score[j])
-            } else {
-                Time::INFINITY
-            };
-            for slot in row.iter_mut().take(filled) {
-                *slot = (Time::INFINITY, NO_SENDER);
-            }
-        }
-        pending.clear();
-    }
-
     /// The warm-start crash-recovery loop behind
     /// [`ScheduleEngine::reschedule_excluding`]: replay a committed event
     /// prefix verbatim, excise the `failed` cluster from both sets, clamp
@@ -2420,7 +2121,7 @@ impl EngineState {
         committed: &[ScheduleEvent],
         resume_at: Time,
     ) {
-        self.reset(problem, policy.row_decay());
+        self.reset(problem);
         let n = problem.num_clusters();
         let f = failed.index();
         // Replay the committed prefix verbatim, with no policy involvement:
@@ -2482,8 +2183,8 @@ impl EngineState {
     /// out of the sender order (crash path); `None` on the what-if path.
     ///
     /// The rebuilt state is *bit-identical* to the cold run's: the candidate
-    /// rows come from [`EngineState::rebuild_pending_unpruned`] (the exact
-    /// unpruned top-`K+1`), the policy re-derives its caches from the same
+    /// rows come from the unpruned [`EngineState::rescan_pending`] (the
+    /// exact top-`K+1`), the policy re-derives its caches from the same
     /// view a cold run would see, and the static score offsets use the same
     /// rounded expressions — which is what makes the warm-start invariant
     /// (warm output ≡ cold output, bit for bit) hold through a divergence.
@@ -2518,26 +2219,7 @@ impl EngineState {
         // Policy reset runs *after* the replay so per-problem caches (the
         // ECEF bias/watch arrays are built over `view.receivers()`) see the
         // surviving B, exactly as a cold run on the reduced problem would.
-        {
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
-                problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n,
-            };
-            policy.reset(&view, lookahead);
-        }
+        self.reset_policy(problem, policy);
         // Static score offsets, as in `init_caches`. On the crash path
         // `min_in` still includes the failed cluster's outgoing edges, so the
         // offsets can only be smaller than the reduced problem's — a looser
@@ -2571,95 +2253,88 @@ impl EngineState {
             let r = self.receivers[i];
             self.pending.push(r);
         }
-        self.rebuild_pending_unpruned(problem, policy);
+        self.rescan_pending::<P, false>(problem, policy);
         // Ordinary rounds until the remaining receivers are all covered.
         while !self.receivers.is_empty() {
-            let (sender, receiver) = self.select(problem, policy);
+            let ((_, r, s), _) = self.select_full::<P, false>(problem, policy);
             self.telemetry.recomputed_commit();
-            self.commit(problem, policy, sender, receiver);
-        }
-    }
-
-    fn run<P: SelectionPolicy + ?Sized>(&mut self, problem: &BroadcastProblem, policy: &mut P) {
-        self.reset(problem, policy.row_decay());
-        {
-            // Sender-major view for the policy's per-problem rebuild: the
-            // lookahead rows read `transfer(j, k)` for consecutive `k`, which
-            // is exactly a `tx` row.
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
+            self.commit(
                 problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n: problem.num_clusters(),
-            };
-            policy.reset(&view, lookahead);
-        }
-        self.init_caches(problem, policy);
-        let n = problem.num_clusters();
-        while self.events.len() + 1 < n {
-            let (sender, receiver) = self.select(problem, policy);
-            self.commit(problem, policy, sender, receiver);
+                policy,
+                ClusterId(s as usize),
+                ClusterId(r as usize),
+            );
         }
     }
 
-    /// [`EngineState::run`] with commit logging: identical rounds (the
-    /// selection scan is the same monomorphization with runner-up tracking
-    /// switched on), recording one [`LoggedCommit`] per round into `commits`.
-    fn run_logged<P: SelectionPolicy + ?Sized>(
+    /// Runs the policy's per-problem rebuild ([`SelectionPolicy::reset`])
+    /// over the current A/B sets. Sender-major view: the lookahead rows read
+    /// `transfer(j, k)` for consecutive `k`, which is exactly a `tx` row.
+    fn reset_policy<P: SelectionPolicy + ?Sized>(
+        &mut self,
+        problem: &BroadcastProblem,
+        policy: &mut P,
+    ) {
+        let EngineState {
+            in_a,
+            ready,
+            tx,
+            lookahead,
+            receivers,
+            ..
+        } = self;
+        let view = EngineView {
+            problem,
+            in_a,
+            ready,
+            mat: tx,
+            receiver_major: false,
+            receivers,
+            n: problem.num_clusters(),
+        };
+        policy.reset(&view, lookahead);
+    }
+
+    /// The cold round loop without commit logging.
+    fn run<P: SelectionPolicy + ?Sized>(&mut self, problem: &BroadcastProblem, policy: &mut P) {
+        self.run_logged::<P, false>(problem, policy, &mut Vec::new());
+    }
+
+    /// The cold round loop. With `LOG` the selection scan is the
+    /// monomorphization that tracks each round's runner-up, and one
+    /// [`LoggedCommit`] per round is recorded into `commits`; without it the
+    /// reserve and the pushes compile out, `commits` is never touched, and a
+    /// warm engine's rounds allocate nothing. Both instances commit the same
+    /// rounds with the same floats.
+    fn run_logged<P: SelectionPolicy + ?Sized, const LOG: bool>(
         &mut self,
         problem: &BroadcastProblem,
         policy: &mut P,
         commits: &mut Vec<LoggedCommit>,
     ) {
-        commits.clear();
-        self.reset(problem, policy.row_decay());
-        {
-            let EngineState {
-                in_a,
-                ready,
-                tx,
-                lookahead,
-                receivers,
-                ..
-            } = &mut *self;
-            let view = EngineView {
-                problem,
-                in_a,
-                ready,
-                mat: tx,
-                receiver_major: false,
-                receivers,
-                n: problem.num_clusters(),
-            };
-            policy.reset(&view, lookahead);
-        }
+        self.reset(problem);
+        self.reset_policy(problem, policy);
         self.init_caches(problem, policy);
         let n = problem.num_clusters();
-        commits.reserve(n.saturating_sub(1));
+        if LOG {
+            commits.clear();
+            commits.reserve(n.saturating_sub(1));
+        }
         while self.events.len() + 1 < n {
-            let (winner, runner_up) = self.select_full::<P, true>(problem, policy);
+            let (winner, runner_up) = self.select_full::<P, LOG>(problem, policy);
             let (sender, receiver) = (ClusterId(winner.2 as usize), ClusterId(winner.1 as usize));
             self.commit(problem, policy, sender, receiver);
-            let event = *self.events.last().expect("commit pushed an event");
-            commits.push(LoggedCommit {
-                sender: winner.2,
-                receiver: winner.1,
-                start: event.start,
-                arrival: event.arrival,
-                winner,
-                runner_up: runner_up.unwrap_or((Time::INFINITY, u32::MAX, u32::MAX)),
-            });
+            if LOG {
+                let event = *self.events.last().expect("commit pushed an event");
+                commits.push(LoggedCommit {
+                    sender: winner.2,
+                    receiver: winner.1,
+                    start: event.start,
+                    arrival: event.arrival,
+                    winner,
+                    runner_up: runner_up.unwrap_or((Time::INFINITY, u32::MAX, u32::MAX)),
+                });
+            }
         }
     }
 
@@ -2785,7 +2460,7 @@ impl EngineState {
             self.telemetry.recomputed_many(events);
             return;
         }
-        self.reset(problem, policy.row_decay());
+        self.reset(problem);
         self.taint.clear();
         self.taint.resize(n, false);
         self.dirty_list.clear();
@@ -2999,100 +2674,44 @@ impl Default for BuiltinPolicies {
     }
 }
 
-impl BuiltinPolicies {
-    /// Runs `state` on `problem` with the concrete policy for `kind` —
-    /// the single point where the kind-to-policy dispatch happens.
-    fn run(&mut self, state: &mut EngineState, problem: &BroadcastProblem, kind: HeuristicKind) {
-        match kind {
-            HeuristicKind::FlatTree => state.run(problem, &mut self.flat_tree),
-            HeuristicKind::Fef => state.run(problem, &mut self.fef),
-            HeuristicKind::Ecef => state.run(problem, &mut self.ecef),
-            HeuristicKind::EcefLa => state.run(problem, &mut self.ecef_la),
-            HeuristicKind::EcefLaMin => state.run(problem, &mut self.ecef_la_min),
-            HeuristicKind::EcefLaMax => state.run(problem, &mut self.ecef_la_max),
-            HeuristicKind::BottomUp => state.run(problem, &mut self.bottom_up),
-        }
-    }
-
-    /// The crash-recovery twin of [`BuiltinPolicies::run`]: dispatches `kind`
-    /// to its concrete policy and hands it to
-    /// [`EngineState::run_excluding`].
-    fn run_excluding(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        kind: HeuristicKind,
-        failed: ClusterId,
-        committed: &[ScheduleEvent],
-        resume_at: Time,
-    ) {
-        match kind {
+/// Evaluates `$body` with `$p` bound to `&mut` the concrete built-in policy
+/// for `$kind` — the single point where the kind-to-policy dispatch happens.
+/// Each arm instantiates `$body` for its own policy type, so the round loop
+/// it calls is monomorphized per heuristic.
+macro_rules! with_policy {
+    ($policies:expr, $kind:expr, |$p:ident| $body:expr) => {{
+        let policies: &mut BuiltinPolicies = $policies;
+        match $kind {
             HeuristicKind::FlatTree => {
-                state.run_excluding(problem, &mut self.flat_tree, failed, committed, resume_at)
+                let $p = &mut policies.flat_tree;
+                $body
             }
             HeuristicKind::Fef => {
-                state.run_excluding(problem, &mut self.fef, failed, committed, resume_at)
+                let $p = &mut policies.fef;
+                $body
             }
             HeuristicKind::Ecef => {
-                state.run_excluding(problem, &mut self.ecef, failed, committed, resume_at)
+                let $p = &mut policies.ecef;
+                $body
             }
             HeuristicKind::EcefLa => {
-                state.run_excluding(problem, &mut self.ecef_la, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la;
+                $body
             }
             HeuristicKind::EcefLaMin => {
-                state.run_excluding(problem, &mut self.ecef_la_min, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la_min;
+                $body
             }
             HeuristicKind::EcefLaMax => {
-                state.run_excluding(problem, &mut self.ecef_la_max, failed, committed, resume_at)
+                let $p = &mut policies.ecef_la_max;
+                $body
             }
             HeuristicKind::BottomUp => {
-                state.run_excluding(problem, &mut self.bottom_up, failed, committed, resume_at)
+                let $p = &mut policies.bottom_up;
+                $body
             }
         }
-    }
-
-    /// The commit-logging twin of [`BuiltinPolicies::run`].
-    fn run_logged(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        kind: HeuristicKind,
-        commits: &mut Vec<LoggedCommit>,
-    ) {
-        match kind {
-            HeuristicKind::FlatTree => state.run_logged(problem, &mut self.flat_tree, commits),
-            HeuristicKind::Fef => state.run_logged(problem, &mut self.fef, commits),
-            HeuristicKind::Ecef => state.run_logged(problem, &mut self.ecef, commits),
-            HeuristicKind::EcefLa => state.run_logged(problem, &mut self.ecef_la, commits),
-            HeuristicKind::EcefLaMin => state.run_logged(problem, &mut self.ecef_la_min, commits),
-            HeuristicKind::EcefLaMax => state.run_logged(problem, &mut self.ecef_la_max, commits),
-            HeuristicKind::BottomUp => state.run_logged(problem, &mut self.bottom_up, commits),
-        }
-    }
-
-    /// The warm-start twin of [`BuiltinPolicies::run`]: dispatches on the
-    /// **log's** heuristic kind.
-    fn run_replay(
-        &mut self,
-        state: &mut EngineState,
-        problem: &BroadcastProblem,
-        log: &CommitLog,
-        delta: &ReplayDelta,
-    ) {
-        match log.kind {
-            HeuristicKind::FlatTree => state.run_replay(problem, &mut self.flat_tree, log, delta),
-            HeuristicKind::Fef => state.run_replay(problem, &mut self.fef, log, delta),
-            HeuristicKind::Ecef => state.run_replay(problem, &mut self.ecef, log, delta),
-            HeuristicKind::EcefLa => state.run_replay(problem, &mut self.ecef_la, log, delta),
-            HeuristicKind::EcefLaMin => {
-                state.run_replay(problem, &mut self.ecef_la_min, log, delta)
-            }
-            HeuristicKind::EcefLaMax => {
-                state.run_replay(problem, &mut self.ecef_la_max, log, delta)
-            }
-            HeuristicKind::BottomUp => state.run_replay(problem, &mut self.bottom_up, log, delta),
-        }
-    }
+    }};
 }
 
 /// The reusable, pattern-agnostic scheduling engine.
@@ -3116,42 +2735,41 @@ impl BuiltinPolicies {
 ///     assert!(s.validate(&problem).is_ok());
 /// }
 /// ```
-#[derive(Default)]
 pub struct ScheduleEngine {
     state: EngineState,
     policies: BuiltinPolicies,
 }
 
+impl Default for ScheduleEngine {
+    fn default() -> Self {
+        ScheduleEngine::with_k_best(DEFAULT_K_BEST)
+    }
+}
+
 impl ScheduleEngine {
-    /// Creates an engine with empty buffers.
+    /// Creates an engine with empty buffers and [`DEFAULT_K_BEST`]-wide
+    /// candidate rows.
     pub fn new() -> Self {
         ScheduleEngine::default()
     }
 
-    /// Creates an engine whose candidate rows hold a fixed `k` entries instead
-    /// of resolving [`adaptive_k_best_for`] per problem and policy.
+    /// Creates an engine whose candidate rows hold `k` entries instead of
+    /// [`DEFAULT_K_BEST`] — the one width override.
     ///
     /// The row width is a **pure performance knob**: the head invariant and
     /// the rescan fallback keep schedules byte-identical for any `k ≥ 1`
     /// (asserted by the engine's parity tests) — only the repair rate, and
     /// with it the rescan work, changes. The `engine_scaling` bench uses this
-    /// to probe K ∈ {2, 4, 8, 16, 32} at 500/1000 clusters for the adaptive-K
-    /// telemetry.
+    /// to probe K ∈ {2, 4, 8, 16, 32} at 500/1000 clusters.
     pub fn with_k_best(k: usize) -> Self {
         assert!(k >= 1, "the candidate row needs at least the head entry");
-        let mut engine = ScheduleEngine::default();
-        engine.state.k_best = KBest::Fixed(k);
-        engine
-    }
-
-    /// The **widest** candidate-row width `K` this engine can use for an
-    /// `n`-cluster problem: the fixed override when constructed via
-    /// [`ScheduleEngine::with_k_best`], [`adaptive_k_best`]`(n)` (the
-    /// [`RowDecay::Steep`] column of the per-policy table) otherwise. Without
-    /// a fixed override the width actually used depends on the policy's
-    /// [`SelectionPolicy::row_decay`] class — see [`adaptive_k_best_for`].
-    pub fn k_best_for(&self, n: usize) -> usize {
-        self.state.k_best.resolve_for(RowDecay::Steep, n)
+        ScheduleEngine {
+            state: EngineState {
+                k_best: k,
+                ..EngineState::default()
+            },
+            policies: BuiltinPolicies::default(),
+        }
     }
 
     /// Schedules `problem` with the built-in policy for `kind`.
@@ -3165,7 +2783,7 @@ impl ScheduleEngine {
     /// transfer matrix once and schedule every heuristic against it).
     fn schedule_prepared(&mut self, problem: &BroadcastProblem, kind: HeuristicKind) -> Schedule {
         let ScheduleEngine { state, policies } = self;
-        policies.run(state, problem, kind);
+        with_policy!(policies, kind, |p| state.run(problem, p));
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3229,7 +2847,9 @@ impl ScheduleEngine {
         assert!(resume_at.is_finite(), "resume_at must be finite");
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        policies.run_excluding(state, problem, kind, failed, committed, resume_at);
+        with_policy!(policies, kind, |p| {
+            state.run_excluding(problem, p, failed, committed, resume_at)
+        });
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3245,7 +2865,9 @@ impl ScheduleEngine {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
         let mut commits = Vec::new();
-        policies.run_logged(state, problem, kind, &mut commits);
+        with_policy!(policies, kind, |p| {
+            state.run_logged::<_, true>(problem, p, &mut commits)
+        });
         let schedule = state.schedule_of_events(problem, kind.name());
         let log = CommitLog {
             root: problem.root,
@@ -3272,7 +2894,9 @@ impl ScheduleEngine {
         for &kind in kinds {
             let ScheduleEngine { state, policies } = self;
             let mut commits = Vec::new();
-            policies.run_logged(state, problem, kind, &mut commits);
+            with_policy!(policies, kind, |p| {
+                state.run_logged::<_, true>(problem, p, &mut commits)
+            });
             makespans.push(state.makespan_of_events(problem));
             logs.push(CommitLog {
                 root: problem.root,
@@ -3320,7 +2944,8 @@ impl ScheduleEngine {
     pub fn warm_run(&mut self, problem: &BroadcastProblem, log: &CommitLog, delta: &ReplayDelta) {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        policies.run_replay(state, problem, log, delta);
+        with_policy!(policies, log.kind, |p| state
+            .run_replay(problem, p, log, delta));
     }
 
     /// The warm twin of [`ScheduleEngine::makespans_into`]: one shared
@@ -3356,7 +2981,8 @@ impl ScheduleEngine {
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
         for (slot, log) in logs.iter().enumerate() {
-            policies.run_replay(state, problem, log, delta);
+            with_policy!(policies, log.kind, |p| state
+                .run_replay(problem, p, log, delta));
             let makespan = state.makespan_of_events(problem);
             out.push(makespan);
             each(slot, makespan, &state.events);
@@ -3399,7 +3025,7 @@ impl ScheduleEngine {
     ) -> Schedule {
         let ScheduleEngine { state, policies } = self;
         state.prepare_costs(problem, costs);
-        policies.run(state, problem, kind);
+        with_policy!(policies, kind, |p| state.run(problem, p));
         state.schedule_of_events(problem, kind.name())
     }
 
@@ -3433,7 +3059,7 @@ impl ScheduleEngine {
     /// build; see [`ScheduleEngine::schedule_prepared`].
     fn makespan_prepared(&mut self, problem: &BroadcastProblem, kind: HeuristicKind) -> Time {
         let ScheduleEngine { state, policies } = self;
-        policies.run(state, problem, kind);
+        with_policy!(policies, kind, |p| state.run(problem, p));
         state.makespan_of_events(problem)
     }
 
@@ -3508,12 +3134,7 @@ impl ScheduleEngine {
     /// 16× reduction over the `O(T²)` oracle scan at 200 clusters, widening
     /// to 32× at 400. Byte-exact float semantics force each surfaced bound to
     /// be verified individually (rounded completions are not order-stable
-    /// under a common shift); callers who can accept ulp-level reordering get
-    /// a further `~O(T^{1.3})` from the feature-gated batch-shift path
-    /// (`ScheduleEngine::schedule_transfers_batch_shift`, `fast-math`
-    /// feature), which keys *clusters* instead of transfers and holds to
-    /// this path within tight relative tolerance.
-    /// The old scan is retained as
+    /// under a common shift). The old scan is retained as
     /// [`ScheduleEngine::schedule_transfers_quadratic`], the differential
     /// oracle the proptests hold this implementation **byte-identical** to,
     /// and the telemetry counters (`exchange_pops`, `exchange_reinserts`) pin
@@ -3663,263 +3284,6 @@ impl ScheduleEngine {
                 start,
                 arrival,
             });
-        }
-        ExchangeSchedule {
-            transfers: out,
-            interface_free: free.clone(),
-            last_arrival: last_arrival.clone(),
-        }
-    }
-
-    /// The **batch-shift** exchange scheduler: earliest-completion-first with
-    /// the same committed-timing arithmetic as
-    /// [`ScheduleEngine::schedule_transfers`], but with the selection order
-    /// relaxed at float ties — the `fast-math` trade that replaces the lazy
-    /// heap's per-transfer re-keying with per-cluster batch shifts.
-    ///
-    /// The lazy-invalidation heap keys every pending *transfer*; on a dense
-    /// set each commit moves two interfaces and thereby stales `Θ(n)` keys,
-    /// which is where its observed `O(T^{3/2})` re-key bill comes from. This
-    /// scheduler instead keys every *cluster*: per cluster a queue of its
-    /// incident transfers sorted by the static `g + L` (each transfer sits in
-    /// both endpoints' queues), and a global lazy heap whose cluster entry
-    /// carries the bound `fl(free[c] + (g+L)_head)` — a lower bound on every
-    /// completion incident to `c` because rounded addition is monotone. A
-    /// commit now stales exactly its two endpoints' entries, so re-keying is
-    /// `O(1)` heap operations per commit instead of `Θ(n)`.
-    ///
-    /// A surfaced head is committed only when its popped cluster is the
-    /// **governing** endpoint (`free[c] ≥ free[other]`, making the bound the
-    /// head's exact completion). A non-governing head is **deferred**: its
-    /// completion is set by the partner, and the partner's queue still holds
-    /// the same transfer behind a bound that lower-bounds it, so this queue
-    /// simply steps past it — no per-transfer heap entry at all. When
-    /// governance *flipped* between the two queues' encounters (both have
-    /// stepped past it, neither may commit it) the transfer is **adopted**
-    /// by the now-governing partner: pushed onto that cluster's side
-    /// min-heap of adopted transfers, keyed by the same `(g + L, idx)` the
-    /// static queues sort by. A cluster's head is the lexicographic minimum
-    /// over its static-queue suffix and its adopted heap — exactly the head
-    /// a sorted re-insertion would have produced, so the commit order is
-    /// unchanged — but the hop costs `O(log)` instead of the `Θ(queue)`
-    /// memmove of a sorted `Vec::insert`. On dense sets governance flips
-    /// ~√n times per transfer, so that memmove was the `O(T^{1.3})` term of
-    /// the previous implementation; the flip-free bound family retires it.
-    /// Deferrals and adoptions are counted together by
-    /// `EngineTelemetry::exchange_migrations`; each extra hop of one
-    /// transfer requires an intervening governance flip (i.e. a commit
-    /// touching its endpoints), which bounds hops by incident commits.
-    /// Cluster entries are **versioned** instead of re-keyed: every event
-    /// that can move a cluster's bound pushes a fresh entry and bumps the
-    /// version, and a popped superseded entry dies in `O(1)` — no re-key
-    /// traffic at all. The pop counts stay 2.7× below the lazy heap at 64
-    /// clusters widening to 5.4× at 400, pinned exactly by
-    /// `crates/bench/tests/exchange_regression.rs`.
-    ///
-    /// **Why this is `fast-math`:** the cluster bound rounds as
-    /// `fl(free + fl(g + L))` while the oracle completion rounds as
-    /// `fl(fl(start + g) + L)` — the two may disagree by an ulp, and at exact
-    /// float ties the pop order here follows heap keys, not the oracle's
-    /// `(completion, from, to, idx)` tuple. Either way two near-equal
-    /// completions can commit in swapped order, after which the schedules
-    /// genuinely diverge (interface occupancy differs, not just an ulp). On
-    /// continuously-distributed inputs ties have probability ~0 and the
-    /// conformance property test holds makespans to a tight relative
-    /// tolerance against the byte-exact heap, which remains the default path
-    /// and the semantic oracle.
-    #[cfg(feature = "fast-math")]
-    pub fn schedule_transfers_batch_shift(&mut self, set: &TransferSet) -> ExchangeSchedule {
-        let release = vec![Time::ZERO; set.num_clusters()];
-        self.schedule_transfers_batch_shift_from(set, &release)
-    }
-
-    /// [`ScheduleEngine::schedule_transfers_batch_shift`] with per-cluster
-    /// release times — the relaxed sibling of
-    /// [`ScheduleEngine::schedule_transfers_from`].
-    #[cfg(feature = "fast-math")]
-    pub fn schedule_transfers_batch_shift_from(
-        &mut self,
-        set: &TransferSet,
-        release: &[Time],
-    ) -> ExchangeSchedule {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = set.num_clusters();
-        assert_eq!(release.len(), n, "one release time per cluster");
-        let EngineState {
-            ready: free,
-            arrival: last_arrival,
-            telemetry,
-            ..
-        } = &mut self.state;
-        free.clear();
-        free.extend_from_slice(release);
-        last_arrival.clear();
-        last_arrival.resize(n, Time::ZERO);
-        let transfers = set.transfers();
-
-        // Per-cluster queues of incident transfers, ascending by the static
-        // `(g + L, idx)`; a cursor retires committed (or migrated) heads.
-        let mut queues: Vec<Vec<(Time, u32)>> = vec![Vec::new(); n];
-        for (idx, t) in transfers.iter().enumerate() {
-            let gl = t.gap + t.latency;
-            debug_assert_score_not_nan(gl);
-            queues[t.from.index()].push((gl, idx as u32));
-            if t.to != t.from {
-                queues[t.to.index()].push((gl, idx as u32));
-            }
-        }
-        for queue in &mut queues {
-            queue.sort_unstable_by(|a, b| a.partial_cmp(b).expect("g+L is never NaN"));
-        }
-        let mut cursor = vec![0u32; n];
-        let mut done = vec![false; transfers.len()];
-        // Set once a queue first steps past this transfer: exactly one live
-        // copy remains from then on (the partner's static slot, or whichever
-        // adopted heap it last hopped to), so a later non-governing
-        // encounter must move it rather than defer again.
-        let mut deferred = vec![false; transfers.len()];
-        // Per-cluster min-heaps of adopted transfers — heads whose governance
-        // flipped to this cluster after both static copies were stepped
-        // past — keyed by the static queues' own `(g + L, idx)` order, so
-        // merging with the static suffix reproduces the sorted-queue head
-        // exactly while an adoption costs `O(log)` instead of a `Θ(queue)`
-        // sorted insert.
-        let mut adopted: Vec<BinaryHeap<Reverse<(Time, u32)>>> = vec![BinaryHeap::new(); n];
-
-        // One *live* heap entry per non-drained cluster, keyed by the exact
-        // current bound `fl(free[c] + (g+L)_head)`. Every event that can move
-        // a cluster's bound — a commit touching it, a deferral advancing its
-        // cursor, a re-homed transfer joining its queue — bumps the cluster's
-        // version and pushes a fresh entry; a popped entry whose version is
-        // superseded is dead and discards in O(1), so nothing is ever
-        // re-keyed.
-        let mut version = vec![0u32; n];
-        let mut heap: BinaryHeap<Reverse<(Time, u32, u32)>> =
-            BinaryHeap::with_capacity(n + transfers.len() / 4 + 1);
-        // Skips committed heads and returns the cluster's current head —
-        // the `(g + L, idx)` minimum over the static-queue suffix and the
-        // adopted heap — plus whether it lives in the adopted heap (the
-        // caller needs to know which side to step past).
-        let head_of = |queues: &[Vec<(Time, u32)>],
-                       cursor: &mut [u32],
-                       adopted: &mut [BinaryHeap<Reverse<(Time, u32)>>],
-                       done: &[bool],
-                       c: usize| {
-            let queue = &queues[c];
-            let mut at = cursor[c] as usize;
-            while at < queue.len() && done[queue[at].1 as usize] {
-                at += 1;
-            }
-            cursor[c] = at as u32;
-            while let Some(&Reverse(e)) = adopted[c].peek() {
-                if done[e.1 as usize] {
-                    adopted[c].pop();
-                } else {
-                    break;
-                }
-            }
-            let fixed = (at < queue.len()).then(|| queue[at]);
-            let extra = adopted[c].peek().map(|&Reverse(e)| e);
-            match (fixed, extra) {
-                (Some(f), Some(e)) if e < f => Some((e.0, e.1, true)),
-                (Some(f), _) => Some((f.0, f.1, false)),
-                (None, Some(e)) => Some((e.0, e.1, true)),
-                (None, None) => None,
-            }
-        };
-        for (c, &free_c) in free.iter().enumerate() {
-            if let Some((gl, _, _)) = head_of(&queues, &mut cursor, &mut adopted, &done, c) {
-                heap.push(Reverse((free_c + gl, c as u32, 0)));
-            }
-        }
-
-        let mut out = Vec::with_capacity(transfers.len());
-        while out.len() < transfers.len() {
-            let Reverse((key, c, ver)) = heap
-                .pop()
-                .expect("every pending transfer keeps a live cluster entry");
-            telemetry.exchange_pop();
-            let c = c as usize;
-            if ver != version[c] {
-                // Superseded by a fresher bound for this cluster.
-                continue;
-            }
-            let Some((gl, idx, from_adopted)) =
-                head_of(&queues, &mut cursor, &mut adopted, &done, c)
-            else {
-                // Queue drained by the partners' commits: entry retires.
-                continue;
-            };
-            debug_assert!(
-                free[c] + gl == key,
-                "a current-version key is the exact bound"
-            );
-            let t = &transfers[idx as usize];
-            let other = if t.from.index() == c { t.to } else { t.from };
-            let o = other.index();
-            if free[c] < free[o] {
-                // Not the governing endpoint: the head's completion is set by
-                // `other`, so this cluster steps past it. First encounter:
-                // the partner's queue still holds it behind a valid lower
-                // bound — defer, no traffic for the transfer itself. Later
-                // encounters (single live copy): the now-governing partner
-                // adopts it — an `O(log)` heap push in place of the old
-                // sorted `Vec::insert`.
-                telemetry.exchange_migration();
-                if from_adopted {
-                    adopted[c].pop();
-                } else {
-                    cursor[c] += 1;
-                }
-                if deferred[idx as usize] {
-                    // `deferred` stays set: the adopted copy is the only
-                    // live one, so any further flip must move it again.
-                    adopted[o].push(Reverse((gl, idx)));
-                    version[o] += 1;
-                    if let Some((gl, _, _)) = head_of(&queues, &mut cursor, &mut adopted, &done, o)
-                    {
-                        heap.push(Reverse((free[o] + gl, o as u32, version[o])));
-                    }
-                } else {
-                    deferred[idx as usize] = true;
-                }
-                version[c] += 1;
-                if let Some((gl, _, _)) = head_of(&queues, &mut cursor, &mut adopted, &done, c) {
-                    heap.push(Reverse((free[c] + gl, c as u32, version[c])));
-                }
-                continue;
-            }
-            // Governing and current: the bound IS the head's completion, and
-            // every other pending transfer sits behind a bound no smaller —
-            // commit it. Committed timings use the oracle's arithmetic
-            // verbatim.
-            if from_adopted {
-                adopted[c].pop();
-            } else {
-                cursor[c] += 1;
-            }
-            telemetry.exchange_commit();
-            done[idx as usize] = true;
-            let start = free[t.from.index()].max(free[t.to.index()]);
-            let nic_release = start + t.gap;
-            let arrival = nic_release + t.latency;
-            free[t.from.index()] = nic_release;
-            free[t.to.index()] = nic_release;
-            last_arrival[t.to.index()] = last_arrival[t.to.index()].max(arrival);
-            out.push(TimedTransfer {
-                from: t.from,
-                to: t.to,
-                payload: t.payload,
-                start,
-                arrival,
-            });
-            for e in [t.from.index(), t.to.index()] {
-                version[e] += 1;
-                if let Some((gl, _, _)) = head_of(&queues, &mut cursor, &mut adopted, &done, e) {
-                    heap.push(Reverse((free[e] + gl, e as u32, version[e])));
-                }
-            }
         }
         ExchangeSchedule {
             transfers: out,
@@ -4498,25 +3862,10 @@ mod tests {
         // shrinking or growing the row only moves work between repairs and
         // rescans. This is what licenses the engine_scaling K sweep.
         let mut reference = ScheduleEngine::new();
-        assert_eq!(reference.k_best_for(64), adaptive_k_best(64));
-        assert_eq!(adaptive_k_best(100_000), 8);
-        assert!(adaptive_k_best(100_000) <= DEFAULT_K_BEST);
-        // The per-policy table is ordered: Static ≤ Gradual ≤ Steep at every
-        // size, and the Steep column is `adaptive_k_best` itself.
-        for n in [1usize, 100, 193, 257, 513, 769, 1000, 100_000] {
-            let widths = [
-                adaptive_k_best_for(RowDecay::Static, n),
-                adaptive_k_best_for(RowDecay::Gradual, n),
-                adaptive_k_best_for(RowDecay::Steep, n),
-            ];
-            assert!(widths[0] >= 1 && widths[0] <= widths[1] && widths[1] <= widths[2]);
-            assert_eq!(widths[2], adaptive_k_best(n));
-        }
         for clusters in [2usize, 13, 48, 96] {
             let p = random_problem(clusters, 7000 + clusters as u64);
             for k in [1usize, 2, 8, 32] {
                 let mut probe = ScheduleEngine::with_k_best(k);
-                assert_eq!(probe.k_best_for(clusters), k);
                 for kind in HeuristicKind::all() {
                     let a = reference.schedule(&p, kind);
                     let b = probe.schedule(&p, kind);
@@ -4770,133 +4119,5 @@ mod tests {
         );
         // Telemetry resets on take.
         assert_eq!(engine.telemetry(), EngineTelemetry::default());
-    }
-
-    /// Conformance suite for the feature-gated batch-shift exchange
-    /// scheduler. Its relaxation is selection-order-only: committed timings
-    /// use the oracle arithmetic verbatim, so on inputs without float ties
-    /// (continuously-distributed gaps and latencies make ties probability ~0)
-    /// it must agree with the byte-exact heap to tight relative tolerance.
-    #[cfg(feature = "fast-math")]
-    mod batch_shift {
-        use super::*;
-        use proptest::prelude::*;
-        use rand::Rng;
-
-        /// Relative-tolerance comparison for committed times. 1e-9 is far
-        /// looser than the ulp-level divergence the bound rounding can cause
-        /// (~1e-16 relative) and far tighter than any genuine reordering of
-        /// non-tied transfers would produce.
-        fn rel_close(a: Time, b: Time) -> bool {
-            let (a, b) = (a.as_secs(), b.as_secs());
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-9)
-        }
-
-        fn assert_conformant(fast: &ExchangeSchedule, oracle: &ExchangeSchedule) {
-            assert_eq!(fast.transfers.len(), oracle.transfers.len());
-            // Same transfers committed (selection order may differ): compare
-            // the per-ordered-pair commit counts.
-            let count = |s: &ExchangeSchedule| {
-                let mut m = std::collections::BTreeMap::new();
-                for t in &s.transfers {
-                    *m.entry((t.from.index(), t.to.index())).or_insert(0usize) += 1;
-                }
-                m
-            };
-            assert_eq!(count(fast), count(oracle));
-            for (a, b) in fast.interface_free.iter().zip(&oracle.interface_free) {
-                assert!(rel_close(*a, *b), "interface_free diverged: {a} vs {b}");
-            }
-            for (a, b) in fast.last_arrival.iter().zip(&oracle.last_arrival) {
-                assert!(rel_close(*a, *b), "last_arrival diverged: {a} vs {b}");
-            }
-        }
-
-        #[test]
-        fn dense_all_to_all_matches_the_heap() {
-            // The workload the batch-shift path exists for: every ordered
-            // pair transfers, so a transfer-keyed heap stales Θ(n) entries
-            // per commit while cluster keys re-key in O(1).
-            use rand::SeedableRng;
-            for (clusters, seed) in [(8usize, 0u64), (16, 1), (24, 2)] {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut set = TransferSet::new(clusters);
-                for s in 0..clusters {
-                    for r in 0..clusters {
-                        if s == r {
-                            continue;
-                        }
-                        set.push(Transfer {
-                            from: ClusterId(s),
-                            to: ClusterId(r),
-                            payload: MessageSize::from_kib(1 + rng.gen_range_u64(0, 512)),
-                            gap: Time::from_millis(0.01 + 50.0 * rng.gen_f64()),
-                            latency: Time::from_millis(0.01 + 100.0 * rng.gen_f64()),
-                        });
-                    }
-                }
-                let mut engine = ScheduleEngine::new();
-                let fast = engine.schedule_transfers_batch_shift(&set);
-                let oracle = engine.schedule_transfers(&set);
-                assert_conformant(&fast, &oracle);
-                let local = vec![Time::from_millis(1.0); clusters];
-                assert!(rel_close(
-                    fast.makespan_with_local(&local),
-                    oracle.makespan_with_local(&local),
-                ));
-            }
-        }
-
-        proptest! {
-            /// Random transfer sets — duplicate pairs allowed, random
-            /// release times included — stay conformant with the heap.
-            #[test]
-            fn random_sets_are_conformant(
-                clusters in 2usize..=48,
-                transfers in 1usize..=256,
-                seed in proptest::prelude::any::<u64>(),
-                release_sel in 0u8..=1,
-            ) {
-                use rand::SeedableRng;
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut set = TransferSet::new(clusters);
-                for _ in 0..transfers {
-                    let from = rng.gen_range_u64(0, clusters as u64) as usize;
-                    let mut to = rng.gen_range_u64(0, clusters as u64 - 1) as usize;
-                    if to >= from {
-                        to += 1;
-                    }
-                    set.push(Transfer {
-                        from: ClusterId(from),
-                        to: ClusterId(to),
-                        payload: MessageSize::from_kib(1 + rng.gen_range_u64(0, 512)),
-                        gap: Time::from_millis(0.01 + 50.0 * rng.gen_f64()),
-                        latency: Time::from_millis(0.01 + 100.0 * rng.gen_f64()),
-                    });
-                }
-                let release: Vec<Time> = (0..clusters)
-                    .map(|_| if release_sel == 1 {
-                        Time::from_millis(20.0 * rng.gen_f64())
-                    } else {
-                        Time::ZERO
-                    })
-                    .collect();
-                let mut engine = ScheduleEngine::new();
-                let fast = engine.schedule_transfers_batch_shift_from(&set, &release);
-                let oracle = engine.schedule_transfers_from(&set, &release);
-                prop_assert_eq!(fast.transfers.len(), oracle.transfers.len());
-                for (a, b) in fast.interface_free.iter().zip(&oracle.interface_free) {
-                    prop_assert!(rel_close(*a, *b), "interface_free diverged: {} vs {}", a, b);
-                }
-                for (a, b) in fast.last_arrival.iter().zip(&oracle.last_arrival) {
-                    prop_assert!(rel_close(*a, *b), "last_arrival diverged: {} vs {}", a, b);
-                }
-                let local = vec![Time::ZERO; clusters];
-                prop_assert!(rel_close(
-                    fast.makespan_with_local(&local),
-                    oracle.makespan_with_local(&local),
-                ));
-            }
-        }
     }
 }

@@ -1,8 +1,6 @@
 //! The BottomUp heuristic (Section 5.3).
 
-use crate::engine::{
-    with_shared_engine, EngineView, Objective, ReplayTraits, RowDecay, SelectionPolicy,
-};
+use crate::engine::{with_shared_engine, EngineView, Objective, ReplayTraits, SelectionPolicy};
 use crate::heuristics::Heuristic;
 use crate::{BroadcastProblem, Schedule};
 use gridcast_plogp::Time;
@@ -87,13 +85,6 @@ impl SelectionPolicy for BottomUpPolicy {
         // rounding — exactly the engine's two-step sender bound
         // `fl(fl(t + r_s) + d_j)`.
         min_outgoing_transfer
-    }
-
-    fn row_decay(&self) -> RowDecay {
-        // The max-min objective chases the *worst*-served receiver, whose
-        // repairs bottom out deepest: the telemetry sweep shows BottomUp's
-        // repair rate decaying hardest of all policies with problem size.
-        RowDecay::Steep
     }
 
     fn objective(&self) -> Objective {

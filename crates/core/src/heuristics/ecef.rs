@@ -2,7 +2,7 @@
 //! (Sections 4.3, 4.4, 5.1 and 5.2).
 
 use crate::engine::{
-    with_shared_engine, EngineView, LookaheadWorkspace, ReplayTraits, RowDecay, SelectionPolicy,
+    with_shared_engine, EngineView, LookaheadWorkspace, ReplayTraits, SelectionPolicy,
 };
 use crate::heuristics::Heuristic;
 use crate::{BroadcastProblem, Schedule};
@@ -291,17 +291,6 @@ impl SelectionPolicy for EcefPolicy {
         // `g + L >= min_outgoing`, so every score this sender can produce is
         // at least `fl(RT_i + min_outgoing)` (rounded addition is monotone).
         min_outgoing_transfer
-    }
-
-    fn row_decay(&self) -> RowDecay {
-        // The lookahead variants chase receivers whose repairs bottom out
-        // deeper as n grows (aggregate repair rate 0.67 at 1000 clusters at
-        // K = 4); plain ECEF's repairs stay shallow.
-        if matches!(self.lookahead, Lookahead::None) {
-            RowDecay::Gradual
-        } else {
-            RowDecay::Steep
-        }
     }
 
     fn receiver_bias(

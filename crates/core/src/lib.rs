@@ -67,10 +67,10 @@ pub mod schedule;
 pub mod state;
 
 pub use engine::{
-    adaptive_k_best, adaptive_k_best_for, makespans_sharded, schedule_all_sharded, CandidateTuple,
-    CommitLog, EdgeCosts, EngineTelemetry, EngineView, ExchangeSchedule, LoggedCommit,
-    LookaheadWorkspace, Objective, ReplayTraits, RowDecay, ScheduleEngine, SelectionPolicy,
-    TieBreak, TimedTransfer, Transfer, TransferSet, DEFAULT_K_BEST,
+    makespans_sharded, schedule_all_sharded, CandidateTuple, CommitLog, EdgeCosts, EngineTelemetry,
+    EngineView, ExchangeSchedule, LoggedCommit, LookaheadWorkspace, Objective, ReplayTraits,
+    ScheduleEngine, SelectionPolicy, TieBreak, TimedTransfer, Transfer, TransferSet,
+    DEFAULT_K_BEST,
 };
 pub use global_minimum::{global_minimum, per_heuristic_makespans};
 pub use heuristics::{Heuristic, HeuristicKind};

@@ -3,13 +3,16 @@
 //! A batch of request lines moves through five stages, all deterministic in
 //! request order:
 //!
-//! 1. **Admission + parse** — oversized lines and malformed JSON become error
-//!    responses for their line; nothing on the wire panics the daemon.
+//! 1. **Admission + parse** — oversized lines, malformed JSON and
+//!    perturbation chains longer than [`wire::MAX_PERTURBATIONS`] become
+//!    error responses for their line; nothing on the wire panics the daemon.
 //!    A line is measured without its leading and trailing ASCII
 //!    whitespace, and [`Server::serve`]'s reader never buffers more than
 //!    [`ServerConfig::max_line_bytes`] bytes of it: the rest of a longer
 //!    line is skipped as it streams in, and the line is answered with the
-//!    oversize error.
+//!    oversize error. The reader stops reading while a full batch of lines
+//!    waits to be served, so a fast client gets backpressure instead of
+//!    growing the daemon's queue.
 //! 2. **Resolution** — the grid spec is resolved (named topologies and
 //!    generated grids are memoised; inline grids are consistency-checked),
 //!    perturbations are validated against the grid, and the
@@ -67,7 +70,8 @@ pub struct ServerConfig {
     /// strips ASCII whitespace before measuring, so non-ASCII whitespace
     /// padding a line past the limit counts toward it.
     pub max_line_bytes: usize,
-    /// Maximum requests dispatched per batch.
+    /// Maximum requests dispatched per batch, and the number of lines
+    /// [`Server::serve`]'s reader may queue ahead of the batch loop.
     pub max_batch: usize,
     /// Maximum clusters a requested grid may have.
     pub max_clusters: usize,
@@ -748,12 +752,18 @@ impl Server {
     /// then drains whatever else has already arrived (up to
     /// [`ServerConfig::max_batch`]) so a burst is dispatched to the engine
     /// pool together while a lone request is answered immediately.
+    ///
+    /// Reading is bounded too: the reader thread hands lines over a channel
+    /// holding at most `max_batch` of them and blocks while it is full, so a
+    /// client that writes faster than its answers are read back holds at
+    /// most one batch in flight, one batch queued and one line in hand —
+    /// the rest stays in the socket and the client gets backpressure.
     pub fn serve<R, W>(&mut self, reader: R, mut writer: W) -> std::io::Result<()>
     where
         R: Read + Send + 'static,
         W: Write,
     {
-        let (tx, rx) = mpsc::channel::<std::io::Result<Incoming>>();
+        let (tx, rx) = mpsc::sync_channel::<std::io::Result<Incoming>>(self.config.max_batch);
         let limit = self.config.max_line_bytes;
         // The reader thread is detached on purpose: a shutdown command must
         // stop the daemon even if the peer never closes its end, and a

@@ -13,6 +13,12 @@ use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid};
 use serde::{Deserialize as _, Value};
 
+/// The longest perturbation chain a request may carry. A warm request's
+/// memory is bounded by the grid however long its chain, but its CPU cost
+/// grows with the chain's length times the links each perturbation touches,
+/// so admission refuses longer chains with an error naming this limit.
+pub const MAX_PERTURBATIONS: usize = 64;
+
 /// Which grid a request schedules on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GridSpec {
@@ -259,6 +265,13 @@ pub fn parse_line(line: &str) -> Result<RequestLine, String> {
     };
     let perturbations = match doc.field("perturbations") {
         None => Vec::new(),
+        Some(Value::Seq(items)) if items.len() > MAX_PERTURBATIONS => {
+            return Err(format!(
+                "field `perturbations` holds {} entries; a request may chain at most \
+                 {MAX_PERTURBATIONS}",
+                items.len()
+            ))
+        }
         Some(Value::Seq(items)) => items
             .iter()
             .map(parse_perturbation)

@@ -3,12 +3,16 @@
 
 use gridcast_core::BroadcastProblem;
 use gridcast_plogp::MessageSize;
+use gridcast_serve::wire::MAX_PERTURBATIONS;
 use gridcast_serve::{Server, ServerConfig};
 use gridcast_topology::{ClusterId, GridGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize as _, Value};
-use std::io::Cursor;
+use std::io::{Cursor, Read, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn config(workers: usize) -> ServerConfig {
     ServerConfig {
@@ -366,4 +370,107 @@ fn serve_accepts_a_line_at_the_limit_and_rejects_one_past_it() {
         assert!(line.starts_with(r#"{"id":6,"status":"ok""#), "{line}");
     }
     assert_eq!(server.stats().errors, 1);
+}
+
+#[test]
+fn perturbation_chains_are_capped_at_admission() {
+    let link = r#"{"kind":"degrade_link","from":0,"to":1,"factor":1.01}"#;
+    let request = |id: usize, len: usize| {
+        let chain = vec![link; len].join(",");
+        format!(r#"{{"id":{id},{TABLE2_5},"perturbations":[{chain}]}}"#)
+    };
+    let mut server = Server::new(config(1));
+    let at_limit = one(&mut server, &request(1, MAX_PERTURBATIONS));
+    assert!(
+        at_limit.starts_with(r#"{"id":1,"status":"ok""#),
+        "{at_limit}"
+    );
+    assert_eq!(
+        one(&mut server, &request(2, MAX_PERTURBATIONS + 1)),
+        format!(
+            r#"{{"status":"error","error":"field `perturbations` holds {} entries; a request may chain at most {MAX_PERTURBATIONS}"}}"#,
+            MAX_PERTURBATIONS + 1
+        )
+    );
+}
+
+/// A reader that counts the bytes the daemon has pulled from it.
+struct CountingReader<R> {
+    inner: R,
+    consumed: Arc<AtomicUsize>,
+}
+
+impl<R: Read> Read for CountingReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.consumed.fetch_add(n, Ordering::SeqCst);
+        Ok(n)
+    }
+}
+
+/// A writer whose first write reports the stall and blocks until released,
+/// then counts the response lines.
+struct StallingWriter {
+    stalled: Option<mpsc::Sender<()>>,
+    release: mpsc::Receiver<()>,
+    lines: usize,
+}
+
+impl Write for StallingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(stalled) = self.stalled.take() {
+            stalled.send(()).unwrap();
+            self.release.recv().unwrap();
+        }
+        self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn serve_stops_reading_while_answers_are_not_read_back() {
+    // A client that writes 2 MiB of requests and never reads its answers:
+    // once the first response blocks, the daemon may hold the batch being
+    // answered, one queued batch and the line in the reader's hand, plus
+    // one `BufReader` buffer (8 KiB) — nothing more of the stream.
+    let max_batch = 4;
+    let line = format!("{}\n", "x".repeat(1023));
+    let count = 2048;
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let reader = CountingReader {
+        inner: Cursor::new(line.repeat(count).into_bytes()),
+        consumed: Arc::clone(&consumed),
+    };
+    let (stalled_tx, stalled) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let serving = std::thread::spawn(move || {
+        let mut server = Server::new(ServerConfig {
+            max_batch,
+            ..config(1)
+        });
+        let mut writer = StallingWriter {
+            stalled: Some(stalled_tx),
+            release: release_rx,
+            lines: 0,
+        };
+        server.serve(reader, &mut writer).unwrap();
+        writer.lines
+    });
+    stalled.recv().unwrap();
+    // The bound holds at every instant; the pause only gives a reader that
+    // ignores backpressure time to run past it.
+    std::thread::sleep(Duration::from_millis(300));
+    let read = consumed.load(Ordering::SeqCst);
+    let bound = (2 * max_batch + 1) * line.len() + 8 * 1024;
+    assert!(
+        read <= bound,
+        "the reader consumed {read} bytes while the writer was stalled (bound {bound})"
+    );
+    release.send(()).unwrap();
+    // Once the client reads again, every line is answered.
+    assert_eq!(serving.join().unwrap(), count);
 }

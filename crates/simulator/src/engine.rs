@@ -1,15 +1,14 @@
 //! The unified discrete-event execution core.
 //!
 //! Earlier revisions carried two hand-rolled executors — a broadcast path
-//! (`execute_plan`) that resolved each machine's forwards analytically at
-//! arrival time, and a staged path (`execute_sized_plan`) that queued explicit
-//! attempt events for gated, payload-sized sends — each duplicating the
-//! interface-occupancy and wide-area-channel bookkeeping. They are now one
-//! machine: a monotonic event queue (a [`BinaryHeap`] over `(Time, seq)` with
-//! deterministic FIFO tie-breaking) plus per-machine interface and per-pair
-//! wide-area channel resources, onto which **plain sends, sized sends, release
-//! gates and local gather/scatter stages are all lowered as the same two event
-//! kinds**:
+//! that resolved each machine's forwards analytically at arrival time, and a
+//! staged path that queued explicit attempt events for gated, payload-sized
+//! sends — each duplicating the interface-occupancy and wide-area-channel
+//! bookkeeping. They are now one machine: a monotonic event queue (a
+//! [`BinaryHeap`] over `(Time, seq)` with deterministic FIFO tie-breaking)
+//! plus per-machine interface and per-pair wide-area channel resources, onto
+//! which **plain sends, sized sends, release gates and local gather/scatter
+//! stages are all lowered as the same two event kinds**:
 //!
 //! * `Attempt` — a machine tries to start its next pending send;
 //!   if any required resource (its interface, the destination's interface in
@@ -22,13 +21,13 @@
 //! The two public executors differ only in how a plan is *lowered* (an
 //! `EventProgram`):
 //!
-//! * [`execute_plan`] lowers a [`SendPlan`]: every send carries the broadcast
-//!   message, is gated on the machine's first arrival, and occupies the
-//!   **sender's** interface only (a receiving NIC can accept while sending —
-//!   the full-duplex broadcast model the Figure 5/6 reproduction was
-//!   validated under);
-//! * [`execute_sized_plan`] lowers a [`SizedSendPlan`]: per-send payloads,
-//!   `not_before`/`after_arrivals` release gates, and **both-endpoint**
+//! * [`execute_plan_with_sink`] lowers a [`SendPlan`]: every send carries
+//!   the broadcast message, is gated on the machine's first arrival, and
+//!   occupies the **sender's** interface only (a receiving NIC can accept
+//!   while sending — the full-duplex broadcast model the Figure 5/6
+//!   reproduction was validated under);
+//! * [`execute_sized_plan_with_sink`] lowers a [`SizedSendPlan`]: per-send
+//!   payloads, `not_before`/`after_arrivals` release gates, and **both-endpoint**
 //!   interface occupancy (the single-port model of
 //!   `ScheduleEngine::schedule_transfers`, which makes engine-predicted
 //!   exchange makespans reproducible node-level).
@@ -39,7 +38,7 @@
 //! silently reorder the simulation) is a structured
 //! [`SimError::ClockRegression`] from the fallible entry points
 //! ([`try_execute_plan_with_sink`], [`try_execute_sized_plan_with_sink`]) and
-//! a panic from the legacy infallible ones — never silent corruption, in any
+//! a panic from the infallible ones — never silent corruption, in any
 //! build profile. Every [`TraceEvent`] therefore reaches the [`TraceSink`] in
 //! non-decreasing time order — which is what lets traces stream instead of
 //! accumulating — and the fallible entry points additionally surface the
@@ -338,21 +337,9 @@ impl WanChannels {
 ///   propagate correctly,
 /// * duplicate deliveries keep the first arrival; later copies are ignored.
 ///
-/// Optionally records a full [`TraceEvent`] log via `trace`; prefer
-/// [`execute_plan_with_sink`] to stream, count or drop the trace instead.
-pub fn execute_plan(
-    network: &NodeNetwork,
-    plan: &SendPlan,
-    m: MessageSize,
-    start_offset: Time,
-    trace: Option<&mut Vec<TraceEvent>>,
-) -> SimulationOutcome {
-    let mut trace = trace;
-    execute_plan_with_sink(network, plan, m, start_offset, &mut trace)
-}
-
-/// [`execute_plan`] with a caller-chosen [`TraceSink`] observing the event
-/// stream in non-decreasing time order.
+/// `sink` observes the [`TraceEvent`] stream in non-decreasing time order:
+/// [`NullSink`](crate::trace::NullSink) drops it, a `Vec<TraceEvent>` retains
+/// it, and the other sinks count or stream it.
 ///
 /// Panics on a clock-regression violation (impossible for well-formed plans;
 /// use [`try_execute_plan_with_sink`] to get a structured [`SimError`]
@@ -414,7 +401,7 @@ pub fn try_execute_plan_with_sink<S: TraceSink>(
 ///   genuinely serialise on the parent's interface),
 /// * transfers between two different clusters additionally occupy the shared
 ///   wide-area path between those clusters (concurrency budget as in
-///   [`execute_plan`]),
+///   [`execute_plan_with_sink`]),
 /// * contention is resolved in global time order (ties by issue order): an
 ///   attempt whose resources are busy re-queues at the earliest time they all
 ///   free up.
@@ -426,18 +413,9 @@ pub fn try_execute_plan_with_sink<S: TraceSink>(
 /// with unissued forwards at drain time is starved (its gate never opened)
 /// and the outcome propagates `Time::INFINITY` loudly instead of reporting
 /// success.
-pub fn execute_sized_plan(
-    network: &NodeNetwork,
-    plan: &SizedSendPlan,
-    start_offset: Time,
-    trace: Option<&mut Vec<TraceEvent>>,
-) -> SimulationOutcome {
-    let mut trace = trace;
-    execute_sized_plan_with_sink(network, plan, start_offset, &mut trace)
-}
-
-/// [`execute_sized_plan`] with a caller-chosen [`TraceSink`] observing the
-/// event stream in non-decreasing time order.
+///
+/// `sink` observes the event stream in non-decreasing time order, as in
+/// [`execute_plan_with_sink`].
 ///
 /// Panics on a clock-regression violation (impossible for well-formed plans;
 /// use [`try_execute_sized_plan_with_sink`] for the structured error path).
@@ -689,7 +667,13 @@ mod tests {
         let grid = grid();
         let network = NodeNetwork::new(&grid);
         let plan = SendPlan::empty(NodeId(0), network.num_nodes());
-        let outcome = execute_plan(&network, &plan, MessageSize::from_mib(1), Time::ZERO, None);
+        let outcome = execute_plan_with_sink(
+            &network,
+            &plan,
+            MessageSize::from_mib(1),
+            Time::ZERO,
+            &mut NullSink,
+        );
         assert_eq!(outcome.receive_time(NodeId(0)), Time::ZERO);
         assert!(!outcome.completion.is_finite());
         assert_eq!(outcome.messages, 0);
@@ -706,7 +690,7 @@ mod tests {
         // served directly by node 0 (flat) — but for this test we only check the
         // first arrival, so keep the rest unreached and look at node 1 only.
         let m = MessageSize::from_mib(1);
-        let outcome = execute_plan(&network, &plan, m, Time::ZERO, None);
+        let outcome = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut NullSink);
         let expected = network.transfer(NodeId(0), NodeId(1), m);
         assert_eq!(outcome.receive_time(NodeId(1)), expected);
     }
@@ -719,7 +703,7 @@ mod tests {
         plan.forwards[0].push(NodeId(1));
         plan.forwards[0].push(NodeId(2));
         let m = MessageSize::from_mib(1);
-        let outcome = execute_plan(&network, &plan, m, Time::ZERO, None);
+        let outcome = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut NullSink);
         let gap = network.gap(NodeId(0), NodeId(1), m);
         let t1 = outcome.receive_time(NodeId(1));
         let t2 = outcome.receive_time(NodeId(2));
@@ -734,8 +718,9 @@ mod tests {
         let mut plan = SendPlan::empty(NodeId(0), network.num_nodes());
         plan.forwards[0].push(NodeId(1));
         let m = MessageSize::from_mib(1);
-        let base = execute_plan(&network, &plan, m, Time::ZERO, None);
-        let offset = execute_plan(&network, &plan, m, Time::from_millis(5.0), None);
+        let base = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut NullSink);
+        let offset =
+            execute_plan_with_sink(&network, &plan, m, Time::from_millis(5.0), &mut NullSink);
         assert!(offset.receive_time(NodeId(1)).approx_eq(
             base.receive_time(NodeId(1)) + Time::from_millis(5.0),
             Time::from_micros(1.0)
@@ -748,12 +733,12 @@ mod tests {
         let network = NodeNetwork::new(&grid);
         let plan = SendPlan::binomial_over_all_nodes(&grid, ClusterId(0));
         let mut trace = Vec::new();
-        let outcome = execute_plan(
+        let outcome = execute_plan_with_sink(
             &network,
             &plan,
             MessageSize::from_mib(1),
             Time::ZERO,
-            Some(&mut trace),
+            &mut trace,
         );
         assert!(outcome.completion.is_finite());
         assert_eq!(outcome.messages, 87);
@@ -774,7 +759,7 @@ mod tests {
         let plan = SendPlan::binomial_over_all_nodes(&grid, ClusterId(3));
         let m = MessageSize::from_mib(1);
         let mut retained = Vec::new();
-        let traced = execute_plan(&network, &plan, m, Time::ZERO, Some(&mut retained));
+        let traced = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut retained);
         let mut null = NullSink;
         let silent = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut null);
         assert_eq!(traced, silent);
@@ -793,7 +778,7 @@ mod tests {
         let plan = SendPlan::binomial_over_all_nodes(&grid, ClusterId(0));
         let m = MessageSize::from_mib(1);
         let mut retained = Vec::new();
-        let a = execute_plan(&network, &plan, m, Time::ZERO, Some(&mut retained));
+        let a = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut retained);
         let mut streaming = StreamingSink::new(Vec::new());
         let b = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut streaming);
         assert_eq!(a, b);
@@ -811,8 +796,8 @@ mod tests {
         small.push_forward(NodeId(0), NodeId(1), MessageSize::from_kib(64));
         let mut large = SizedSendPlan::empty(NodeId(0), network.num_nodes());
         large.push_forward(NodeId(0), NodeId(1), MessageSize::from_mib(4));
-        let fast = execute_sized_plan(&network, &small, Time::ZERO, None);
-        let slow = execute_sized_plan(&network, &large, Time::ZERO, None);
+        let fast = execute_sized_plan_with_sink(&network, &small, Time::ZERO, &mut NullSink);
+        let slow = execute_sized_plan_with_sink(&network, &large, Time::ZERO, &mut NullSink);
         assert!(fast.receive_time(NodeId(1)) < slow.receive_time(NodeId(1)));
         assert_eq!(
             fast.receive_time(NodeId(1)),
@@ -840,7 +825,7 @@ mod tests {
             not_before: Time::ZERO,
             after_arrivals: 1,
         });
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
         let hop = network.transfer(NodeId(0), NodeId(1), m);
         assert!(outcome
             .receive_time(NodeId(1))
@@ -870,7 +855,7 @@ mod tests {
             not_before: Time::ZERO,
             after_arrivals: 0,
         });
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
         let gap = network.gap(NodeId(1), NodeId(0), m);
         let lat = network.latency(NodeId(1), NodeId(0));
         assert!(outcome
@@ -890,7 +875,7 @@ mod tests {
             not_before: Time::ZERO,
             after_arrivals: 1,
         });
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
         assert!(!outcome.completion.is_finite());
     }
 
@@ -904,7 +889,7 @@ mod tests {
         let schedule = problem.schedule(RelayOrdering::EarliestCompletion);
         let plan = SizedSendPlan::from_relay_schedule(&grid, &schedule, per_node);
         let mut trace = Vec::new();
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, Some(&mut trace));
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut trace);
         assert!(outcome.completion.is_finite());
         assert_eq!(outcome.messages, 87);
         assert!(outcome.receive_times.iter().all(|t| t.is_finite()));
@@ -921,7 +906,7 @@ mod tests {
         for ordering in [RelayOrdering::Direct, RelayOrdering::EarliestCompletion] {
             let schedule = problem.schedule(ordering);
             let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
-            let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
             assert!(outcome.completion.is_finite(), "{ordering:?}");
             // GRID'5000 latencies are symmetric per pair, so the reflected
             // receive windows stay feasible and the replay is exact.
@@ -947,7 +932,7 @@ mod tests {
         let per_node = MessageSize::from_kib(16);
         let schedule = allgather_schedule(&grid, per_node);
         let plan = SizedSendPlan::from_allgather_schedule(&grid, &schedule, per_node);
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
         assert!(outcome.completion.is_finite());
         assert!(
             outcome
@@ -1043,7 +1028,7 @@ mod tests {
         plan.forwards[0].push(NodeId(1));
         plan.forwards[0].push(NodeId(1));
         let m = MessageSize::from_mib(1);
-        let outcome = execute_plan(&network, &plan, m, Time::ZERO, None);
+        let outcome = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut NullSink);
         assert_eq!(
             outcome.receive_time(NodeId(1)),
             network.transfer(NodeId(0), NodeId(1), m)

@@ -21,9 +21,9 @@
 //!   and the schedule-driven grid-aware executions share the same engine,
 //! * **personalised** patterns execute too: a [`SizedSendPlan`] carries a
 //!   payload per send (relayed concatenations, aggregate blocks, per-machine
-//!   slices) and [`execute_sized_plan`] prices each gap for those bytes —
-//!   the node-level realisation of the relay-capable scatter schedules of
-//!   `gridcast_core::patterns`,
+//!   slices) and [`execute_sized_plan_with_sink`] prices each gap for those
+//!   bytes — the node-level realisation of the relay-capable scatter
+//!   schedules of `gridcast_core::patterns`,
 //! * both executors are **lowerings of one discrete-event core** ([`engine`]):
 //!   a monotonic event queue plus per-machine interface and per-pair
 //!   wide-area channel resources, emitting the trace in non-decreasing time
@@ -62,8 +62,8 @@ pub mod trace;
 pub mod whatif;
 
 pub use engine::{
-    execute_plan, execute_plan_with_sink, execute_sized_plan, execute_sized_plan_with_sink,
-    try_execute_plan_with_sink, try_execute_sized_plan_with_sink,
+    execute_plan_with_sink, execute_sized_plan_with_sink, try_execute_plan_with_sink,
+    try_execute_sized_plan_with_sink,
 };
 pub use error::SimError;
 pub use faults::{

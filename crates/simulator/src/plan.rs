@@ -179,8 +179,8 @@ pub struct SizedSend {
 /// by local gather and redistribution phases).
 ///
 /// The uniform-payload [`SendPlan`] stays the broadcast fast path; this type
-/// feeds [`execute_sized_plan`](crate::engine::execute_sized_plan), whose
-/// semantics differ from the broadcast engine in one important way: a sized
+/// feeds [`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink),
+/// whose semantics differ from the broadcast engine in one important way: a sized
 /// send occupies **both** endpoints' interfaces for its gap (the single-port
 /// model of `ScheduleEngine::schedule_transfers`), which is what makes
 /// engine-predicted exchange makespans reproducible node-level.

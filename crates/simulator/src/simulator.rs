@@ -1,12 +1,12 @@
 //! The high-level simulator façade tying schedules, plans and the engine
 //! together.
 
-use crate::engine::execute_plan;
+use crate::engine::execute_plan_with_sink;
 use crate::network::NodeNetwork;
 use crate::outcome::SimulationOutcome;
 use crate::overhead::measure_scheduling_overhead;
 use crate::plan::SendPlan;
-use crate::trace::TraceEvent;
+use crate::trace::{NullSink, TraceEvent};
 use gridcast_core::{BroadcastProblem, HeuristicKind, Schedule};
 use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid};
@@ -57,7 +57,7 @@ impl Simulator {
         schedule: &Schedule,
         scheduling_overhead: Time,
     ) -> SimulationOutcome {
-        self.execute_schedule_with_sink(schedule, scheduling_overhead, &mut crate::trace::NullSink)
+        self.execute_schedule_with_sink(schedule, scheduling_overhead, &mut NullSink)
     }
 
     /// Executes an already-computed schedule and records the full trace.
@@ -110,7 +110,13 @@ impl Simulator {
     /// "Default LAM" baseline of Figure 6.
     pub fn run_default_mpi(&self, root: ClusterId) -> SimulationOutcome {
         let plan = SendPlan::binomial_over_all_nodes(&self.grid, root);
-        execute_plan(&self.network, &plan, self.message, Time::ZERO, None)
+        execute_plan_with_sink(
+            &self.network,
+            &plan,
+            self.message,
+            Time::ZERO,
+            &mut NullSink,
+        )
     }
 
     /// The model-predicted makespan for a heuristic (what Figure 5 plots),

@@ -150,9 +150,8 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// The retained-vector sink: appends every event. This reproduces the
-/// pre-sink behaviour of the executors (`Option<&mut Vec<TraceEvent>>`) and
-/// anchors the parity tests the streaming sinks are checked against.
+/// The retained-vector sink: appends every event. It anchors the parity
+/// tests the streaming sinks are checked against.
 impl TraceSink for Vec<TraceEvent> {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
@@ -218,23 +217,6 @@ impl<W: Write> TraceSink for StreamingSink<W> {
     #[inline]
     fn take_error(&mut self) -> Option<std::io::Error> {
         self.error.take()
-    }
-}
-
-/// Adapter giving the legacy `Option<&mut Vec<TraceEvent>>` signatures a
-/// single monomorphisation of the core: `None` behaves like [`NullSink`]
-/// (events are not even constructed), `Some` like the retained vector.
-impl TraceSink for Option<&mut Vec<TraceEvent>> {
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(v) = self.as_deref_mut() {
-            v.push(event);
-        }
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.is_some()
     }
 }
 

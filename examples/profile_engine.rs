@@ -8,7 +8,7 @@
 //! minimum over several repeats, which is the best estimator of true cost
 //! under external interference.
 
-use gridcast::core::{adaptive_k_best, HeuristicKind, ScheduleEngine};
+use gridcast::core::{HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
 use gridcast::prelude::*;
 use gridcast::topology::GridGenerator;
 use rand_chacha::ChaCha8Rng;
@@ -38,7 +38,7 @@ fn main() {
         println!("{:>10}: {best:>10.2} ms (min of 5)  {t:?}", kind.name());
     }
 
-    println!("adaptive K at n={n}: {}", adaptive_k_best(n));
+    println!("default K: {DEFAULT_K_BEST}");
     for k in [1usize, 2, 4, 6, 8, 12, 16] {
         let mut probe = ScheduleEngine::with_k_best(k);
         let mut out = Vec::new();

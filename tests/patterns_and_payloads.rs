@@ -17,13 +17,13 @@
 //! * **exchange-scheduler parity**: the lazy-invalidation heap behind
 //!   `schedule_transfers` is byte-identical to the retained O(T²) oracle on
 //!   random transfer sets with mixed payloads and release times, and
-//! * **simulator conformance**: `execute_sized_plan` on gather/allgather
-//!   plans reproduces the engine-predicted makespan exactly on grids with
-//!   pair-symmetric latencies (GRID'5000 included) and within the documented
-//!   25% gap-model tolerance on adversarial asymmetric ones — never below
-//!   the engine's figure. Both executors are now thin lowerings of the
-//!   **unified discrete-event core**, so these pins hold the one event loop
-//!   to the legacy-executor contract, and
+//! * **simulator conformance**: `execute_sized_plan_with_sink` on
+//!   gather/allgather plans reproduces the engine-predicted makespan exactly
+//!   on grids with pair-symmetric latencies (GRID'5000 included) and within
+//!   the documented 25% gap-model tolerance on adversarial asymmetric ones —
+//!   never below the engine's figure. Both executors are now thin lowerings
+//!   of the **unified discrete-event core**, so these pins hold the one
+//!   event loop to the legacy-executor contract, and
 //! * **sink parity**: the streaming [`TraceSink`](gridcast::simulator::TraceSink)
 //!   and the retained-vec sink observe event-identical sequences in
 //!   non-decreasing time order, with outcomes bit-identical whichever sink
@@ -38,8 +38,8 @@ use gridcast::core::{
 };
 use gridcast::plogp::{MessageSize, PLogP, Time};
 use gridcast::simulator::{
-    execute_plan, execute_plan_with_sink, execute_sized_plan, execute_sized_plan_with_sink,
-    CountingSink, NodeNetwork, SendPlan, SizedSendPlan, StreamingSink, TraceEvent,
+    execute_plan_with_sink, execute_sized_plan_with_sink, CountingSink, NodeNetwork, NullSink,
+    SendPlan, SizedSendPlan, StreamingSink, TraceEvent,
 };
 use gridcast::topology::{grid5000_table3, Cluster, ClusterId, Grid, GridGenerator};
 use proptest::prelude::*;
@@ -265,8 +265,7 @@ proptest! {
     /// `SizedSendPlan` — the retained-vec sink and the streaming sink observe
     /// **event-identical sequences** in non-decreasing time order, the
     /// counting sink agrees on the totals, and the outcome is bit-identical
-    /// whichever sink (including the legacy `Option<&mut Vec<_>>` wrapper)
-    /// watches the run.
+    /// whichever sink watches the run.
     #[test]
     fn trace_sinks_observe_event_identical_sequences(
         clusters in 2usize..=16,
@@ -285,15 +284,15 @@ proptest! {
         // cluster boundaries, so wide-area channels and retries are hit).
         let plan = SendPlan::binomial_over_all_nodes(&grid, root);
         let mut retained: Vec<TraceEvent> = Vec::new();
-        let legacy = execute_plan(&network, &plan, m, Time::ZERO, Some(&mut retained));
+        let kept = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut retained);
         let mut streaming = StreamingSink::new(Vec::new());
         let streamed = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut streaming);
         let mut counting = CountingSink::default();
         let counted = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut counting);
-        prop_assert_eq!(&legacy, &streamed);
-        prop_assert_eq!(&legacy, &counted);
+        prop_assert_eq!(&kept, &streamed);
+        prop_assert_eq!(&kept, &counted);
         let receive_bits: Vec<u64> =
-            legacy.receive_times.iter().map(|t| t.as_secs().to_bits()).collect();
+            kept.receive_times.iter().map(|t| t.as_secs().to_bits()).collect();
         let stream_bits: Vec<u64> =
             streamed.receive_times.iter().map(|t| t.as_secs().to_bits()).collect();
         prop_assert_eq!(receive_bits, stream_bits);
@@ -314,7 +313,7 @@ proptest! {
         let schedule = problem.schedule(RelayOrdering::EarliestCompletion);
         let sized = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
         let mut sized_retained: Vec<TraceEvent> = Vec::new();
-        let a = execute_sized_plan(&network, &sized, Time::ZERO, Some(&mut sized_retained));
+        let a = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_retained);
         let mut sized_streaming = StreamingSink::new(Vec::new());
         let b = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_streaming);
         prop_assert_eq!(&a, &b);
@@ -441,8 +440,8 @@ fn asymmetric_grid(n: usize, seed: u64) -> Grid {
 }
 
 /// Simulator conformance, exact half: on **uniform grids** (singleton
-/// clusters, identical modelled links) `execute_sized_plan` reproduces the
-/// engine-predicted gather and allgather makespans to float tolerance — the
+/// clusters, identical modelled links) `execute_sized_plan_with_sink`
+/// reproduces the engine-predicted gather and allgather makespans to float tolerance — the
 /// reflected receive windows stay feasible, there are no local phases to
 /// approximate, and the staged executor's both-endpoint occupancy is the
 /// transfer scheduler's.
@@ -465,7 +464,8 @@ fn simulator_reproduces_engine_gather_and_allgather_makespans_exactly_on_uniform
                 let problem = RelayGatherProblem::from_grid(&grid, ClusterId(0), per_node);
                 let schedule = problem.schedule(ordering);
                 let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
-                let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+                let outcome =
+                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
                 assert!(
                     outcome.completion.approx_eq(schedule.makespan(), eps),
                     "{name} gather {ordering:?} @ {kib} KiB: simulated {} vs engine {}",
@@ -475,7 +475,7 @@ fn simulator_reproduces_engine_gather_and_allgather_makespans_exactly_on_uniform
             }
             let allgather = allgather_schedule(&grid, per_node);
             let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-            let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
             assert!(
                 outcome.completion.approx_eq(allgather.makespan(), eps),
                 "{name} allgather @ {kib} KiB: simulated {} vs engine {}",
@@ -508,7 +508,7 @@ fn simulator_conformance_on_grid5000_is_within_the_documented_tolerance() {
             let problem = RelayGatherProblem::from_grid(&grid, ClusterId(0), per_node);
             let schedule = problem.schedule(ordering);
             let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
-            let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
             let engine = schedule.makespan();
             assert!(
                 outcome.completion + eps >= engine,
@@ -525,7 +525,7 @@ fn simulator_conformance_on_grid5000_is_within_the_documented_tolerance() {
         }
         let allgather = allgather_schedule(&grid, per_node);
         let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-        let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
         assert!(outcome.completion + eps >= allgather.makespan());
         assert!(outcome.completion <= allgather.makespan() * 1.05);
     }
@@ -549,7 +549,8 @@ fn simulator_conformance_is_bounded_on_asymmetric_grids() {
                 let problem = RelayGatherProblem::from_grid(&grid, ClusterId(0), per_node);
                 let schedule = problem.schedule(ordering);
                 let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
-                let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+                let outcome =
+                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
                 let engine = schedule.makespan();
                 assert!(
                     outcome.completion + eps >= engine,
@@ -566,7 +567,7 @@ fn simulator_conformance_is_bounded_on_asymmetric_grids() {
             }
             let allgather = allgather_schedule(&grid, per_node);
             let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-            let outcome = execute_sized_plan(&network, &plan, Time::ZERO, None);
+            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
             assert!(outcome.completion + eps >= allgather.makespan());
             assert!(outcome.completion <= allgather.makespan() * 1.25);
         }

@@ -9,8 +9,8 @@ use gridcast::core::{
 };
 use gridcast::plogp::{GapFunction, MessageSize, PLogP, Time};
 use gridcast::simulator::{
-    execute_plan_under_faults, FaultPlan, NodeCrash, NodeNetwork, Outcome, RetryPolicy, SendPlan,
-    TraceEvent,
+    execute_plan_under_faults, FaultPlan, NodeCrash, NodeNetwork, NullSink, Outcome, RetryPolicy,
+    SendPlan, TraceEvent,
 };
 use gridcast::topology::clustering::synthesize_node_matrix;
 use gridcast::topology::{
@@ -173,14 +173,15 @@ proptest! {
     }
 
     /// The row width `K` is a pure performance knob: schedules are
-    /// **byte-identical** for every `K ≥ 1`, so the adaptive default
-    /// (`adaptive_k_best`) can never change an answer relative to any fixed
-    /// override. Exercised across all seven policies up to 128 clusters —
-    /// `K = 1` forces the rescan walk on every invalidation, `K = 16`
-    /// (the probe cap) almost always repairs in place, and the adaptive
-    /// engine sits between; all three must agree to the bit.
+    /// **byte-identical** for every `K ≥ 1`, so the default width
+    /// (`DEFAULT_K_BEST`) can never change an answer relative to any
+    /// [`ScheduleEngine::with_k_best`] override. Exercised across all seven
+    /// policies up to 128 clusters — `K = 1` forces the rescan walk on every
+    /// invalidation, `K = 16` and `K = 32` (the probe's widest rows) almost
+    /// always repair in place, and the default engine sits between; all must
+    /// agree to the bit.
     #[test]
-    fn adaptive_k_matches_every_fixed_k_byte_identically(
+    fn default_width_matches_every_fixed_k_byte_identically(
         clusters in 2usize..=128,
         seed in any::<u64>(),
         root_idx in 0usize..128,
@@ -188,10 +189,10 @@ proptest! {
         let grid = GridGenerator::table2().generate(clusters, &mut ChaCha8Rng::seed_from_u64(seed));
         let root = ClusterId(root_idx % clusters);
         let problem = BroadcastProblem::from_grid(&grid, root, MessageSize::from_mib(1));
-        let mut adaptive = ScheduleEngine::new();
+        let mut default_width = ScheduleEngine::new();
         for kind in HeuristicKind::all() {
-            let baseline = adaptive.schedule(&problem, kind);
-            for k in [1usize, 2, 5, gridcast::core::DEFAULT_K_BEST] {
+            let baseline = default_width.schedule(&problem, kind);
+            for k in [1usize, 2, 5, 16, 32] {
                 let fixed = ScheduleEngine::with_k_best(k).schedule(&problem, kind);
                 prop_assert_eq!(
                     baseline.events.len(), fixed.events.len(),
@@ -365,8 +366,8 @@ proptest! {
         // One crash pinned bit-exactly to a fault-free reception instant (the
         // arrival-at-crash-instant tie), one scaled off the makespan so the
         // window covers both mid-broadcast and after-the-last-attempt.
-        let clean = gridcast::simulator::execute_plan(
-            &network, &plan, problem.message, Time::ZERO, None,
+        let clean = gridcast::simulator::execute_plan_with_sink(
+            &network, &plan, problem.message, Time::ZERO, &mut NullSink,
         );
         let nodes = grid.num_nodes();
         let tie_node = NodeId(1 + crash_node % (nodes - 1));
@@ -430,77 +431,6 @@ proptest! {
                 prop_assert!(grid.latency(i, j) <= ranges.latency.1);
                 prop_assert!(grid.gap(i, j, m) >= ranges.gap.0);
                 prop_assert!(grid.gap(i, j, m) <= ranges.gap.1);
-            }
-        }
-    }
-}
-
-proptest! {
-    // Each case sweeps all eight straddle sizes and up to three widths per
-    // policy at up to 769 clusters, so a handful of random grids is already
-    // several hundred engine runs; more cases buy little beyond wall clock.
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// The per-policy K schedule ([`gridcast::core::adaptive_k_best_for`])
-    /// steps its candidate-row widths at 192/193, 256/257, 512/513 and
-    /// 768/769 clusters, and different policies resolve to different widths
-    /// at the same size (static rows stay at K = 1, gradually decaying
-    /// policies step 2 → 4 → 6, steeply decaying ones 2 → 4 → 8). K must
-    /// remain a pure performance knob through all of that: at every size
-    /// straddling a breakpoint, every policy's adaptive schedule is
-    /// **byte-identical** to a fixed [`ScheduleEngine::with_k_best`] run at
-    /// the width the table resolves to — and at the width the old flat
-    /// schedule (2 up to 256 clusters, 4 above) would have picked, so the
-    /// table migration itself is pinned as answer-preserving.
-    #[test]
-    fn per_policy_k_schedule_is_byte_identical_at_every_breakpoint(
-        seed in any::<u64>(),
-        root_idx in 0usize..192,
-    ) {
-        use gridcast::core::{adaptive_k_best_for, RowDecay};
-
-        // The decay class each heuristic's policy declares (`row_decay`),
-        // restated here so the sweep exercises the exact widths the engine
-        // resolves — byte-identity holds for *any* K, so a policy changing
-        // class later cannot break this test, only shift which widths it
-        // happens to cover.
-        let decay_of = |kind: HeuristicKind| match kind {
-            HeuristicKind::FlatTree | HeuristicKind::Fef => RowDecay::Static,
-            HeuristicKind::Ecef => RowDecay::Gradual,
-            _ => RowDecay::Steep,
-        };
-
-        let mut adaptive = ScheduleEngine::new();
-        for clusters in [192usize, 193, 256, 257, 512, 513, 768, 769] {
-            let grid = GridGenerator::table2()
-                .generate(clusters, &mut ChaCha8Rng::seed_from_u64(seed));
-            let root = ClusterId(root_idx % clusters);
-            let problem = BroadcastProblem::from_grid(&grid, root, MessageSize::from_mib(1));
-            for kind in HeuristicKind::all() {
-                let baseline = adaptive.schedule(&problem, kind);
-                let new_k = adaptive_k_best_for(decay_of(kind), clusters);
-                let old_k = if clusters <= 256 { 2 } else { 4 };
-                let mut widths = vec![new_k];
-                if old_k != new_k {
-                    widths.push(old_k);
-                }
-                for k in widths {
-                    let fixed = ScheduleEngine::with_k_best(k).schedule(&problem, kind);
-                    prop_assert_eq!(
-                        baseline.events.len(), fixed.events.len(),
-                        "{} event count differs at K={} on {} clusters", kind, k, clusters
-                    );
-                    for (i, (a, b)) in baseline.events.iter().zip(&fixed.events).enumerate() {
-                        prop_assert!(
-                            a.sender == b.sender
-                                && a.receiver == b.receiver
-                                && a.start.as_secs().to_bits() == b.start.as_secs().to_bits()
-                                && a.arrival.as_secs().to_bits() == b.arrival.as_secs().to_bits(),
-                            "{} diverges from K={} at event {} ({:?} vs {:?}) on {} clusters",
-                            kind, k, i, a, b, clusters
-                        );
-                    }
-                }
             }
         }
     }
