@@ -32,12 +32,10 @@
 //!     walks), `bucket_skips` (ready-order buckets the walk retired
 //!     wholesale via their cached lower bound) and the derived
 //!     `repair_rate` (repaired-from-runner-up / invalidations);
-//! * `frontier` — the 10 000-cluster point (`clusters`, the row width it
-//!   ran at, `generate_secs`, `batch_secs`, rescan counters, `repair_rate`
-//!   and each heuristic's predicted makespan), measured under
-//!   `ENGINE_SCALING_FRONTIER=1` and carried over verbatim otherwise — a
-//!   block measured before the width became one constant names it
-//!   `adaptive_k`, a fresh one `k_best`;
+//! * `frontier` — the 10 000-cluster point (`clusters`, `k_best` — the row
+//!   width it ran at, `generate_secs`, `batch_secs`, rescan counters,
+//!   `repair_rate` and each heuristic's predicted makespan), measured under
+//!   `ENGINE_SCALING_FRONTIER=1` and carried over verbatim otherwise;
 //! * `k_best_probe` — the candidate-row width probe: one object per
 //!   (cluster count, K) pair for K ∈ {2, 4, 8, 16, 32} at 500/1000
 //!   clusters, with the warmed batch wall time (`batch_ns`), `repair_rate`,

@@ -119,8 +119,10 @@ const NO_SENDER: u32 = u32::MAX;
 /// every offer; since the per-receiver pruned rescan walk made row misses
 /// cheap, the `engine_scaling` probe (K ∈ {2, 4, 8, 16, 32} at 500 and 1000
 /// clusters, in `BENCH_engine_scaling.json`) and the end-to-end A/B in
-/// `BENCH_ablation.json` measured no width beating 2 at the sizes the
-/// benchmarks run.
+/// `BENCH_ablation.json` could not tell 2 from 4 or from the old per-policy
+/// table on the 1000-cluster batch. On the 100-cluster serve mix the old
+/// table's `K = 1` for Flat Tree and FEF read ~4% more throughput, inside
+/// the benchmark's bound.
 pub const DEFAULT_K_BEST: usize = 2;
 
 /// Senders per bucket of the ready-order index: each bucket of the sorted
