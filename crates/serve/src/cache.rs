@@ -1,6 +1,6 @@
 //! The schedule cache: full-problem identity in, scheduling work out.
 //!
-//! The cache key is the [`BroadcastProblem::content_digest`] — a 64-bit
+//! Entries live under the [`BroadcastProblem::content_digest`] — a 64-bit
 //! word-at-a-time digest over the root, the payload and the bit pattern of
 //! every entry of the latency/gap/intra matrices. The grid alone is **not** a
 //! key: the same topology broadcast from a different root or with a different
@@ -11,16 +11,32 @@
 //! against the stored problem before serving; distinct problems that happen
 //! to collide coexist in one bucket.
 //!
+//! A second, exact index finds an entry from the request that created it,
+//! without building the problem at all. Its `RequestKey` holds everything
+//! a request's problem depends on when the grid is named rather than sent:
+//! the grid (a built-in topology's name, or a Table 2 grid's `clusters`,
+//! `seed` and `cluster_size`), the root, the payload and the perturbation
+//! chain in order, every float by its bit pattern. Equal keys build
+//! bit-identical problems, so a key names exactly one problem. Each entry
+//! carries at most the one key that created it, and evicting the entry drops
+//! the key, so the index never holds more keys than the cache holds entries.
+//! Everything else goes through content identity: inline grids (they have no
+//! key), a problem reached through a request form other than the one that
+//! created its entry (a Table 2 grid sent inline, a factor-1 chain that
+//! leaves the base problem), and every insert.
+//!
 //! Cold runs store their per-heuristic [`CommitLog`]s. A later request for a
 //! *perturbed neighbour* of a cached problem (one degraded link, a slowed
-//! site) finds the baseline through the unperturbed problem's digest and
-//! warm-replays the logs under the perturbation delta instead of scheduling
-//! from scratch — the serving counterpart of the what-if runner's warm
-//! sweep, with the engine's bit-identity invariant carrying over unchanged.
+//! site) finds the baseline — by the request's key with the chain removed,
+//! or else through the unperturbed problem's digest — and warm-replays the
+//! logs under the perturbation delta instead of scheduling from scratch:
+//! the serving counterpart of the what-if runner's warm sweep, with the
+//! engine's bit-identity invariant carrying over unchanged.
 
-use gridcast_core::{BroadcastProblem, CommitLog, HeuristicKind, ScheduleEvent};
-use gridcast_plogp::Time;
-use std::collections::HashMap;
+use gridcast_core::{BroadcastProblem, CommitLog, HeuristicKind, Perturbation, ScheduleEvent};
+use gridcast_plogp::{MessageSize, Time};
+use gridcast_topology::ClusterId;
+use std::collections::hash_map::{self, HashMap};
 use std::sync::Arc;
 
 /// How a response was produced, as reported on the wire.
@@ -41,6 +57,102 @@ impl CacheOutcome {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Warm => "warm",
             CacheOutcome::Cold => "cold",
+        }
+    }
+}
+
+/// A grid the daemon builds from its name: a built-in topology, or a Table 2
+/// grid generated from its parameters. Inline grids have none.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum GridKey {
+    /// A named built-in topology.
+    Named(String),
+    /// A generated Table 2 grid.
+    Table2 {
+        /// Number of clusters.
+        clusters: usize,
+        /// RNG seed.
+        seed: u64,
+        /// Machines per cluster.
+        cluster_size: u32,
+    },
+}
+
+/// Everything the problem of a request on a [`GridKey`] grid depends on: the
+/// grid, the root, the payload and the perturbation chain in order, each
+/// float by its bit pattern. The request's id, flags and heuristic pin are
+/// not part of it — they choose what to render from an entry, not which
+/// entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct RequestKey {
+    grid: GridKey,
+    root: ClusterId,
+    payload: MessageSize,
+    /// The chain as words: per perturbation a tag, then its fields in
+    /// declaration order, floats by [`f64::to_bits`].
+    chain: Box<[u64]>,
+}
+
+impl RequestKey {
+    /// The key of a request for `grid` from `root` with `payload` under
+    /// `chain`.
+    pub(crate) fn new(
+        grid: GridKey,
+        root: ClusterId,
+        payload: MessageSize,
+        chain: &[Perturbation],
+    ) -> Self {
+        let id = |c: ClusterId| c.index() as u64;
+        let bits = f64::to_bits;
+        let mut words = Vec::with_capacity(4 * chain.len());
+        for p in chain {
+            match *p {
+                Perturbation::ScaleAllLinks { factor } => words.extend([0, bits(factor)]),
+                Perturbation::DegradeUplink { cluster, factor } => {
+                    words.extend([1, id(cluster), bits(factor)])
+                }
+                Perturbation::DegradeLink { from, to, factor } => {
+                    words.extend([2, id(from), id(to), bits(factor)])
+                }
+                Perturbation::DegradeSite {
+                    first,
+                    span,
+                    factor,
+                } => words.extend([3, id(first), span as u64, bits(factor)]),
+                Perturbation::TimeVaryingCapacity {
+                    from,
+                    to,
+                    factor,
+                    from_time,
+                    until,
+                } => words.extend([
+                    4,
+                    id(from),
+                    id(to),
+                    bits(factor),
+                    bits(from_time.as_secs()),
+                    bits(until.as_secs()),
+                ]),
+                Perturbation::DropRelay { cluster } => words.extend([5, id(cluster)]),
+                Perturbation::AlternateRoot { root } => words.extend([6, id(root)]),
+            }
+        }
+        RequestKey {
+            grid,
+            root,
+            payload,
+            chain: words.into_boxed_slice(),
+        }
+    }
+
+    /// The key of the same request without its perturbation chain: the key
+    /// of the warm-start base a perturbed request replays from.
+    pub(crate) fn base(&self) -> RequestKey {
+        RequestKey {
+            grid: self.grid.clone(),
+            root: self.root,
+            payload: self.payload,
+            chain: Box::default(),
         }
     }
 }
@@ -72,6 +184,9 @@ pub struct CacheEntry {
     /// Recency stamp maintained by [`ScheduleCache`]: the cache's logical
     /// clock at the entry's last insert or lookup.
     last_used: u64,
+    /// The key of the request that created the entry, when it had one and
+    /// no other entry held it; indexed by [`ScheduleCache`].
+    key: Option<RequestKey>,
 }
 
 impl CacheEntry {
@@ -89,12 +204,14 @@ impl CacheEntry {
             records,
             logs,
             last_used: 0,
+            key: None,
         }
     }
 }
 
 /// A bounded LRU cache from problem identity to [`CacheEntry`], with
-/// warm-start bases pinned.
+/// warm-start bases pinned and an index from request keys to the entries
+/// their requests created.
 ///
 /// Every lookup and insert stamps the entry with a logical clock, and
 /// eviction removes the least-recently-used entry — but in two tiers:
@@ -116,6 +233,9 @@ impl CacheEntry {
 pub struct ScheduleCache {
     capacity: usize,
     buckets: HashMap<u64, Vec<CacheEntry>>,
+    /// The request-key index: each indexed key to the digest its entry is
+    /// stored under. Holds exactly the keys the cached entries carry.
+    keys: HashMap<RequestKey, u64>,
     tick: u64,
     len: usize,
 }
@@ -127,6 +247,7 @@ impl ScheduleCache {
         ScheduleCache {
             capacity,
             buckets: HashMap::new(),
+            keys: HashMap::new(),
             tick: 0,
             len: 0,
         }
@@ -159,15 +280,58 @@ impl ScheduleCache {
         Some(entry)
     }
 
+    /// The entry the request with `key` created, and the digest it is
+    /// stored under, without building or comparing a problem. A hit
+    /// refreshes the entry's recency stamp exactly as [`Self::get_mut`]
+    /// does.
+    pub(crate) fn get_mut_by_key(&mut self, key: &RequestKey) -> Option<(u64, &mut CacheEntry)> {
+        self.tick += 1;
+        let digest = *self.keys.get(key)?;
+        let entry = self
+            .buckets
+            .get_mut(&digest)?
+            .iter_mut()
+            .find(|e| e.key.as_ref() == Some(key))?;
+        entry.last_used = self.tick;
+        Some((digest, entry))
+    }
+
+    /// The entry the request with `key` created, leaving its recency stamp
+    /// as it is.
+    pub(crate) fn peek_by_key(&self, key: &RequestKey) -> Option<&CacheEntry> {
+        self.buckets
+            .get(self.keys.get(key)?)?
+            .iter()
+            .find(|e| e.key.as_ref() == Some(key))
+    }
+
     /// Inserts an entry under `digest`, evicting per the two-tier LRU rule
     /// once over capacity. The caller has already checked no equal entry
     /// exists.
-    pub fn insert(&mut self, digest: u64, mut entry: CacheEntry) {
+    pub fn insert(&mut self, digest: u64, entry: CacheEntry) {
+        self.insert_keyed(digest, None, entry);
+    }
+
+    /// [`Self::insert`] for an entry created by a request with `key`: the
+    /// entry carries the key and the index finds it by the key, unless
+    /// another entry already holds it.
+    pub(crate) fn insert_keyed(
+        &mut self,
+        digest: u64,
+        key: Option<RequestKey>,
+        mut entry: CacheEntry,
+    ) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
         entry.last_used = self.tick;
+        if let Some(key) = key {
+            if let hash_map::Entry::Vacant(slot) = self.keys.entry(key) {
+                entry.key = Some(slot.key().clone());
+                slot.insert(digest);
+            }
+        }
         self.buckets.entry(digest).or_default().push(entry);
         self.len += 1;
         while self.len > self.capacity {
@@ -178,7 +342,8 @@ impl ScheduleCache {
     /// Removes the least-recently-used entry, preferring unpinned (log-less)
     /// entries over warm-start bases: lexicographic minimum of
     /// `(holds_logs, last_used)`. Stamps are unique, so the victim is
-    /// deterministic regardless of bucket iteration order.
+    /// deterministic regardless of bucket iteration order. The victim's key
+    /// leaves the index with it.
     fn evict_one(&mut self) {
         let mut victim: Option<(u64, usize, (bool, u64))> = None;
         for (&digest, bucket) in &self.buckets {
@@ -191,9 +356,12 @@ impl ScheduleCache {
         }
         let (digest, slot, _) = victim.expect("eviction runs only on a non-empty cache");
         let bucket = self.buckets.get_mut(&digest).expect("victim bucket exists");
-        bucket.remove(slot);
+        let evicted = bucket.remove(slot);
         if bucket.is_empty() {
             self.buckets.remove(&digest);
+        }
+        if let Some(key) = evicted.key {
+            self.keys.remove(&key);
         }
         self.len -= 1;
     }
@@ -202,8 +370,7 @@ impl ScheduleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridcast_plogp::MessageSize;
-    use gridcast_topology::{ClusterId, GridGenerator};
+    use gridcast_topology::GridGenerator;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -230,6 +397,156 @@ mod tests {
             vec![Time::from_millis(1.0); HeuristicKind::COUNT],
             Some(Arc::new(Vec::new())),
         )
+    }
+
+    /// The key of the request whose problem is `problem(seed)`.
+    fn key(seed: u64) -> RequestKey {
+        let grid = GridKey::Table2 {
+            clusters: 5,
+            seed,
+            cluster_size: 4,
+        };
+        RequestKey::new(grid, ClusterId(0), MessageSize::from_mib(1), &[])
+    }
+
+    /// Inserts `problem(seed)` under its key.
+    fn insert_keyed(
+        cache: &mut ScheduleCache,
+        seed: u64,
+        entry: fn(&BroadcastProblem) -> CacheEntry,
+    ) {
+        let p = problem(seed);
+        cache.insert_keyed(p.content_digest(), Some(key(seed)), entry(&p));
+    }
+
+    /// Every indexed key belongs to exactly one cached entry, which carries
+    /// it, so the index never outgrows the cache.
+    fn assert_index_consistent(cache: &ScheduleCache) {
+        assert!(cache.keys.len() <= cache.len());
+        let carried: Vec<&RequestKey> = cache
+            .buckets
+            .values()
+            .flatten()
+            .filter_map(|e| e.key.as_ref())
+            .collect();
+        assert_eq!(carried.len(), cache.keys.len());
+        for k in carried {
+            let entry = cache.peek_by_key(k).expect("a carried key is indexed");
+            assert_eq!(entry.key.as_ref(), Some(k));
+        }
+    }
+
+    #[test]
+    fn keyed_lookup_refreshes_recency_exactly_as_get_mut_does() {
+        // The same sequence, touching the older entry through each lookup:
+        // the survivors must agree, and a peek must not count as a touch.
+        let survivors = |touch: &dyn Fn(&mut ScheduleCache)| {
+            let mut cache = ScheduleCache::new(2);
+            insert_keyed(&mut cache, 0, entry);
+            insert_keyed(&mut cache, 1, entry);
+            touch(&mut cache);
+            insert_keyed(&mut cache, 2, entry);
+            (0..3)
+                .map(|seed| cache.peek_by_key(&key(seed)).is_some())
+                .collect::<Vec<_>>()
+        };
+        let p0 = problem(0);
+        let by_content = survivors(&|c| assert!(c.get_mut(p0.content_digest(), &p0).is_some()));
+        let by_key = survivors(&|c| assert!(c.get_mut_by_key(&key(0)).is_some()));
+        let peeked = survivors(&|c| assert!(c.peek_by_key(&key(0)).is_some()));
+        assert_eq!(by_content, [true, false, true]);
+        assert_eq!(by_key, by_content);
+        assert_eq!(peeked, [false, true, true]);
+    }
+
+    #[test]
+    fn keyed_lookup_finds_the_entry_its_key_created() {
+        let mut cache = ScheduleCache::new(8);
+        insert_keyed(&mut cache, 1, entry);
+        let p = problem(1);
+        let (digest, found) = cache.get_mut_by_key(&key(1)).expect("keyed entry");
+        assert_eq!(digest, p.content_digest());
+        assert!(found.problem.bit_identical(&p));
+        assert!(cache.get_mut_by_key(&key(2)).is_none());
+        // An entry inserted without a key is found by its content only.
+        let q = problem(2);
+        cache.insert(q.content_digest(), entry(&q));
+        assert!(cache.get_mut_by_key(&key(2)).is_none());
+        assert!(cache.get_mut(q.content_digest(), &q).is_some());
+    }
+
+    #[test]
+    fn eviction_removes_the_key() {
+        let mut cache = ScheduleCache::new(1);
+        insert_keyed(&mut cache, 0, entry);
+        insert_keyed(&mut cache, 1, entry);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get_mut_by_key(&key(0)).is_none());
+        assert!(cache.peek_by_key(&key(0)).is_none());
+        assert!(cache.get_mut_by_key(&key(1)).is_some());
+        assert_index_consistent(&cache);
+        // The evicted problem comes back under its key.
+        insert_keyed(&mut cache, 0, entry);
+        assert!(cache.get_mut_by_key(&key(0)).is_some());
+        assert_index_consistent(&cache);
+    }
+
+    #[test]
+    fn the_index_never_holds_more_keys_than_entries() {
+        let mut cache = ScheduleCache::new(3);
+        for round in 0..40u64 {
+            let seed = round % 7;
+            match round % 4 {
+                0 => insert_keyed(&mut cache, seed, base_entry),
+                1 => insert_keyed(&mut cache, seed, entry),
+                2 => {
+                    let p = problem(100 + round);
+                    cache.insert(p.content_digest(), entry(&p));
+                }
+                _ => {
+                    cache.get_mut_by_key(&key(seed));
+                }
+            }
+            assert_index_consistent(&cache);
+        }
+        // A second entry under an indexed key does not take it over.
+        let mut cache = ScheduleCache::new(4);
+        insert_keyed(&mut cache, 0, base_entry);
+        let other = problem(9);
+        cache.insert_keyed(other.content_digest(), Some(key(0)), entry(&other));
+        assert_eq!(cache.len(), 2);
+        let (_, found) = cache.get_mut_by_key(&key(0)).unwrap();
+        assert!(found.problem.bit_identical(&problem(0)));
+        assert_index_consistent(&cache);
+    }
+
+    #[test]
+    fn keys_compare_every_float_by_bit_pattern() {
+        let grid = GridKey::Named("grid5000_table3".into());
+        let link = |factor: f64| Perturbation::DegradeLink {
+            from: ClusterId(1),
+            to: ClusterId(2),
+            factor,
+        };
+        let key = |chain: &[Perturbation]| {
+            RequestKey::new(grid.clone(), ClusterId(0), MessageSize::from_mib(1), chain)
+        };
+        let f: f64 = 1.5;
+        let next = f64::from_bits(f.to_bits() + 1);
+        assert_eq!(key(&[link(f)]), key(&[link(f)]));
+        assert_ne!(key(&[link(f)]), key(&[link(next)]));
+        // Order matters, and the base key is the chain-less one.
+        assert_ne!(key(&[link(f), link(2.0)]), key(&[link(2.0), link(f)]));
+        assert_eq!(key(&[link(f)]).base(), key(&[]));
+        // Different kinds with equal fields never collide.
+        let uplink = Perturbation::DegradeUplink {
+            cluster: ClusterId(1),
+            factor: f,
+        };
+        let relay = Perturbation::DropRelay {
+            cluster: ClusterId(1),
+        };
+        assert_ne!(key(&[uplink]), key(&[relay]));
     }
 
     #[test]

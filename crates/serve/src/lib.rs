@@ -19,12 +19,15 @@
 //! * [`cache`] — the schedule cache, keyed by **full problem identity**
 //!   (a word-at-a-time digest of the evaluated link matrices, root and
 //!   payload, via [`gridcast_core::BroadcastProblem::content_digest`]), never
-//!   by grid name alone. A digest is an index, not a proof: every lookup
-//!   re-checks bitwise problem identity
-//!   ([`gridcast_core::BroadcastProblem::bit_identical`]) before serving.
-//!   Cold runs store their commit logs, so a later request for a *perturbed
-//!   neighbour* of a cached problem warm-starts from the logged baseline
-//!   instead of scheduling from scratch.
+//!   by grid name alone. A digest is an index, not a proof: every lookup by
+//!   content re-checks bitwise problem identity
+//!   ([`gridcast_core::BroadcastProblem::bit_identical`]) before serving. A
+//!   second, exact index keyed on the request itself (named or generated
+//!   grid, root, payload, perturbation chain) answers an exact repeat, and finds a perturbed
+//!   request's base, without building the problem. Cold runs store their
+//!   commit logs, so a later request for a *perturbed neighbour* of a cached
+//!   problem warm-starts from the logged baseline instead of scheduling from
+//!   scratch.
 //! * [`server`] — the engine pool and the batching loop: requests are
 //!   admitted (size/shape limits), classified against the cache
 //!   (hit / warm / cold), run inline with one worker or fanned out over the

@@ -13,19 +13,25 @@
 //!    oversize error. The reader stops reading while a full batch of lines
 //!    waits to be served, so a fast client gets backpressure instead of
 //!    growing the daemon's queue.
-//! 2. **Resolution** — the grid spec is resolved (named topologies and
-//!    generated grids are memoised; inline grids are consistency-checked),
-//!    perturbations are validated against the grid, and the
-//!    [`BroadcastProblem`] plus its content digest are built. A warm-eligible
-//!    chain (no grid-wide scaling, no moved root) builds the base problem
-//!    once and patches the links it touches into a copy of it
-//!    ([`BroadcastProblem::perturbed`]); the perturbed grid is built only
-//!    when the request asks to `execute` on it. Other chains apply to the
-//!    grid and build the problem from the result.
-//! 3. **Classification** — each problem is looked up in the schedule cache:
-//!    a *hit* serves the stored answer, a perturbed neighbour of a cached
-//!    cold run becomes a *warm* job replaying its commit logs, everything
-//!    else is a *cold* job.
+//! 2. **Resolution** — the grid spec is resolved and admitted (named
+//!    topologies and generated grids are checked against the admission
+//!    limits before they are built, and the few most recently used are
+//!    memoised; inline grids are consistency-checked), and perturbations are
+//!    validated against the grid. A request on a named or generated grid
+//!    gets a request key: its grid, root, payload and chain.
+//! 3. **Classification** — an exact repeat of a keyed request finds its
+//!    cache entry by the key and is answered from it without building its
+//!    problem. Otherwise the [`BroadcastProblem`] and its content digest are
+//!    built and looked up by content, which also finds an entry another
+//!    request form created. A warm-eligible chain (no grid-wide scaling, no
+//!    moved root) patches the links it touches into a copy of its base
+//!    problem ([`BroadcastProblem::perturbed`]) — the stored problem of the
+//!    base request's entry when the cache holds it, else one built from the
+//!    grid; other chains apply to the grid and build the problem from the
+//!    result, and the perturbed grid is otherwise built only when the
+//!    request asks to `execute` on it. A *hit* serves the stored answer, a
+//!    perturbed neighbour of a cached cold run becomes a *warm* job
+//!    replaying its commit logs, everything else is a *cold* job.
 //! 4. **Dispatch** — the jobs are split into contiguous chunks, one per
 //!    worker engine. The calling thread runs the first chunk and scoped
 //!    threads run the others, so with one worker engine, or one job, the
@@ -35,10 +41,10 @@
 //!    that priced all seven heuristics, and a warm job keeps the winning
 //!    replay's events from its seven-log pass.
 //! 5. **Merge + render** — every waiting line is rendered, then the job
-//!    results are moved into the cache in request order; every line gets
-//!    exactly one response line.
+//!    results are moved into the cache in request order, a new entry
+//!    carrying its request's key; every line gets exactly one response line.
 
-use crate::cache::{CacheEntry, CacheOutcome, ScheduleCache, ScheduleRecord};
+use crate::cache::{CacheEntry, CacheOutcome, GridKey, RequestKey, ScheduleCache, ScheduleRecord};
 use crate::stats::ServerStats;
 use crate::wire::{self, GridSpec, OkResponse, Request, RequestLine};
 use gridcast_core::{
@@ -50,7 +56,6 @@ use gridcast_simulator::{execute_plan_with_sink, NodeNetwork, NullSink, SendPlan
 use gridcast_topology::{grid5000_table3, ClusterId, Grid, GridGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -94,86 +99,96 @@ impl Default for ServerConfig {
     }
 }
 
+/// Grids the memo keeps, most recently used first to stay. A generated grid
+/// at the admission limit of 512 clusters holds 262 144 links of 48 bytes,
+/// about 12.6 MB, so the memo stays near 50 MB however many distinct grids
+/// clients name; a daemon's working set is a grid or two, and a grid pushed
+/// out is regenerated bit-identical when it is named again.
+const GRID_MEMO: usize = 4;
+
 /// Memoised grid resolution: named topologies and generated Table 2 grids
-/// are built once and shared. Inline grids are not memoised — their identity
-/// lives in the problem digest, and callers sending full documents per line
-/// get no benefit from a second copy.
+/// that passed admission are built once and shared while they stay among
+/// the [`GRID_MEMO`] most recently used. Inline grids are not memoised —
+/// their identity lives in the problem digest, and callers sending full
+/// documents per line get no benefit from a second copy.
 #[derive(Debug, Default)]
 struct GridCache {
-    map: HashMap<GridCacheKey, Arc<Grid>>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GridCacheKey {
-    Named(String),
-    Table2 {
-        clusters: usize,
-        seed: u64,
-        cluster_size: u32,
-    },
+    /// Least recently used first.
+    grids: Vec<(GridKey, Arc<Grid>)>,
 }
 
 impl GridCache {
-    fn resolve(&mut self, spec: &GridSpec, config: &ServerConfig) -> Result<Arc<Grid>, String> {
-        let grid = match spec {
-            GridSpec::Named(name) => {
-                let key = GridCacheKey::Named(name.clone());
-                if let Some(grid) = self.map.get(&key) {
-                    return Ok(Arc::clone(grid));
-                }
-                if name != "grid5000_table3" {
-                    return Err(format!(
-                        "unknown topology `{name}` (the daemon knows \"grid5000_table3\")"
-                    ));
-                }
-                let grid = Arc::new(grid5000_table3());
-                self.map.insert(key, Arc::clone(&grid));
-                grid
+    /// The grid `spec` names, admitted under `config`, and its key when it
+    /// has one (inline grids have none).
+    fn resolve(
+        &mut self,
+        spec: &GridSpec,
+        config: &ServerConfig,
+    ) -> Result<(Arc<Grid>, Option<GridKey>), String> {
+        let key = match spec {
+            GridSpec::Inline(grid) => {
+                // Already consistency-checked at parse time.
+                admit_grid(grid, config)?;
+                return Ok((Arc::new(grid.as_ref().clone()), None));
             }
-            GridSpec::Table2 {
+            GridSpec::Named(name) => GridKey::Named(name.clone()),
+            &GridSpec::Table2 {
                 clusters,
                 seed,
                 cluster_size,
             } => {
-                if *clusters > config.max_clusters {
-                    return Err(format!(
-                        "grid of {clusters} clusters exceeds the admission limit of {}",
-                        config.max_clusters
-                    ));
+                // Every cluster of a Table 2 grid has `cluster_size`
+                // machines, so admission runs before the grid is built.
+                admit(
+                    clusters,
+                    (clusters as u64).saturating_mul(u64::from(cluster_size)),
+                    config,
+                )?;
+                GridKey::Table2 {
+                    clusters,
+                    seed,
+                    cluster_size,
                 }
-                let key = GridCacheKey::Table2 {
-                    clusters: *clusters,
-                    seed: *seed,
-                    cluster_size: *cluster_size,
-                };
-                if let Some(grid) = self.map.get(&key) {
-                    return Ok(Arc::clone(grid));
-                }
-                let grid = Arc::new(
-                    GridGenerator::table2()
-                        .cluster_size(*cluster_size)
-                        .generate(*clusters, &mut ChaCha8Rng::seed_from_u64(*seed)),
-                );
-                self.map.insert(key, Arc::clone(&grid));
-                grid
             }
-            // Already consistency-checked at parse time.
-            GridSpec::Inline(grid) => Arc::new(grid.as_ref().clone()),
+        };
+        if let Some(at) = self.grids.iter().position(|(k, _)| *k == key) {
+            self.grids[at..].rotate_left(1);
+            let (_, grid) = self.grids.last().expect("the memo holds the grid");
+            return Ok((Arc::clone(grid), Some(key)));
+        }
+        let grid = match &key {
+            GridKey::Named(name) if name == "grid5000_table3" => grid5000_table3(),
+            GridKey::Named(name) => {
+                return Err(format!(
+                    "unknown topology `{name}` (the daemon knows \"grid5000_table3\")"
+                ))
+            }
+            &GridKey::Table2 {
+                clusters,
+                seed,
+                cluster_size,
+            } => GridGenerator::table2()
+                .cluster_size(cluster_size)
+                .generate(clusters, &mut ChaCha8Rng::seed_from_u64(seed)),
         };
         admit_grid(&grid, config)?;
-        Ok(grid)
+        let grid = Arc::new(grid);
+        if self.grids.len() == GRID_MEMO {
+            self.grids.remove(0);
+        }
+        self.grids.push((key.clone(), Arc::clone(&grid)));
+        Ok((grid, Some(key)))
     }
 }
 
-fn admit_grid(grid: &Grid, config: &ServerConfig) -> Result<(), String> {
-    if grid.num_clusters() > config.max_clusters {
+/// Admission of a grid of `clusters` clusters and `nodes` machines.
+fn admit(clusters: usize, nodes: u64, config: &ServerConfig) -> Result<(), String> {
+    if clusters > config.max_clusters {
         return Err(format!(
-            "grid of {} clusters exceeds the admission limit of {}",
-            grid.num_clusters(),
+            "grid of {clusters} clusters exceeds the admission limit of {}",
             config.max_clusters
         ));
     }
-    let nodes: u64 = grid.clusters().iter().map(|c| u64::from(c.size)).sum();
     if nodes > config.max_nodes {
         return Err(format!(
             "grid of {nodes} machines exceeds the admission limit of {}",
@@ -181,6 +196,11 @@ fn admit_grid(grid: &Grid, config: &ServerConfig) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+fn admit_grid(grid: &Grid, config: &ServerConfig) -> Result<(), String> {
+    let nodes = grid.clusters().iter().map(|c| u64::from(c.size)).sum();
+    admit(grid.num_clusters(), nodes, config)
 }
 
 /// Range-checks a request's cluster references against the resolved grid, so
@@ -264,6 +284,47 @@ fn best_slot(makespans: &[Time]) -> usize {
         .expect("the engine always evaluates all seven heuristics")
 }
 
+/// What a request gets from the cached entry of its exact problem.
+enum Stored {
+    /// The answer the entry holds, rendered.
+    Hit(String),
+    /// The entry knows every makespan but not this slot's schedule, or not
+    /// its simulation: the slot to re-derive, and the entry's cold logs when
+    /// it holds them.
+    Rederive {
+        slot: usize,
+        logs: Option<Arc<Vec<CommitLog>>>,
+    },
+}
+
+fn stored_answer(entry: &CacheEntry, req: &Request, slot_pin: Option<usize>) -> Stored {
+    let slot = slot_pin.unwrap_or_else(|| best_slot(&entry.makespans));
+    match &entry.records[slot] {
+        Some(record) if !req.execute || record.simulated.is_some() => {
+            Stored::Hit(wire::render_ok(&OkResponse {
+                id: req.id,
+                heuristic: HeuristicKind::all()[slot].name(),
+                predicted: entry.makespans[slot],
+                cache: CacheOutcome::Hit.label(),
+                schedule: req.include_schedule.then(|| record.events.clone()),
+                simulated: record.simulated.filter(|_| req.execute),
+            }))
+        }
+        _ => Stored::Rederive {
+            slot,
+            logs: entry.logs.clone(),
+        },
+    }
+}
+
+/// Where a warm-eligible request's base problem came from.
+enum Base {
+    /// The stored problem of the entry this base key created.
+    Keyed(RequestKey),
+    /// Built from the grid: the cache may still hold it under its content.
+    Built(BroadcastProblem),
+}
+
 struct WarmStart {
     logs: Arc<Vec<CommitLog>>,
     delta: ReplayDelta,
@@ -272,6 +333,8 @@ struct WarmStart {
 struct Job {
     problem: BroadcastProblem,
     digest: u64,
+    /// The request's key, for the entry the job's result creates.
+    key: Option<RequestKey>,
     slot_pin: Option<usize>,
     warm: Option<WarmStart>,
     /// The (perturbed) grid to execute the answer on, when the request asked
@@ -557,123 +620,157 @@ impl Server {
     }
 
     fn classify_request(&mut self, req: &Request, jobs: &mut Vec<Job>) -> Result<Pending, String> {
-        let base_grid = self.grids.resolve(&req.grid, &self.config)?;
+        let (base_grid, grid_key) = self.grids.resolve(&req.grid, &self.config)?;
         let n = base_grid.num_clusters();
         validate_against_grid(req, n)?;
-
-        // A warm-eligible chain builds the base problem once — its digest is
-        // the warm-base key below — and patches the touched links into a copy
-        // of it, bit-identical to building from the perturbed grid. Other
-        // chains (grid-wide scaling, a moved root) build the perturbed grid
-        // and the problem from it.
-        let (problem, base_problem, grid) = if warm_eligible(&req.perturbations) {
-            let base = BroadcastProblem::from_grid(&base_grid, req.root, req.payload);
-            let problem = base.perturbed(&base_grid, &req.perturbations);
-            (problem, Some(base), None)
-        } else {
-            let (grid, root) = perturbed_grid(&base_grid, req.root, &req.perturbations);
-            let problem = BroadcastProblem::from_grid(&grid, root, req.payload);
-            (problem, None, Some(grid))
-        };
-        // The grid a job executes its answer on, built only for a job whose
-        // request asks to execute.
-        let execute = move || {
-            req.execute.then(|| {
-                grid.unwrap_or_else(|| perturbed_grid(&base_grid, req.root, &req.perturbations).0)
-            })
-        };
-        let digest = problem.content_digest();
         let slot_pin = req
             .heuristic
             .map(|k| HeuristicKind::all().iter().position(|x| *x == k).unwrap());
+        let key =
+            grid_key.map(|grid| RequestKey::new(grid, req.root, req.payload, &req.perturbations));
 
-        // A cached entry for the exact problem?
-        if let Some(entry) = self.cache.get_mut(digest, &problem) {
-            let slot = slot_pin.unwrap_or_else(|| best_slot(&entry.makespans));
-            let complete = entry.records[slot]
-                .as_ref()
-                .is_some_and(|r| !req.execute || r.simulated.is_some());
-            if complete {
-                self.stats.cache_hits += 1;
-                self.stats.ok += 1;
-                let record = entry.records[slot].as_ref().unwrap();
-                return Ok(Pending::Ready(wire::render_ok(&OkResponse {
-                    id: req.id,
-                    heuristic: HeuristicKind::all()[slot].name(),
-                    predicted: entry.makespans[slot],
-                    cache: CacheOutcome::Hit.label(),
-                    schedule: req.include_schedule.then(|| record.events.clone()),
-                    simulated: req.execute.then(|| record.simulated.unwrap()),
-                })));
-            }
-            // The entry knows the makespans but not this slot's schedule
-            // (or its simulation). Its own cold logs, replayed under a clean
-            // delta, re-derive the schedule without a cold run.
-            if let Some(logs) = entry.logs.clone() {
-                self.stats.warm_starts += 1;
-                jobs.push(Job {
-                    problem,
-                    digest,
-                    slot_pin: Some(slot),
-                    warm: Some(WarmStart {
-                        logs,
-                        delta: ReplayDelta::clean(n),
-                    }),
-                    execute: execute(),
-                });
-                return Ok(Pending::Job {
-                    job: jobs.len() - 1,
-                    id: req.id,
-                    include_schedule: req.include_schedule,
-                    outcome: CacheOutcome::Warm,
-                });
-            }
-        } else if let Some(base_problem) = base_problem {
-            // Not cached — but the *unperturbed* neighbour might be, with
-            // commit logs to warm-start from. (Warm-eligible chains never
-            // move the root, so the base problem shares `req.root`.)
-            let base_digest = base_problem.content_digest();
-            let logs = self
-                .cache
-                .get_mut(base_digest, &base_problem)
-                .and_then(|entry| entry.logs.clone());
-            if let Some(logs) = logs {
-                if logs.iter().all(|log| log.compatible_with(&problem)) {
-                    self.stats.warm_starts += 1;
-                    jobs.push(Job {
-                        problem,
-                        digest,
-                        slot_pin,
-                        warm: Some(WarmStart {
-                            logs,
-                            delta: ReplayDelta::from_perturbations(n, &req.perturbations),
-                        }),
-                        execute: execute(),
-                    });
-                    return Ok(Pending::Job {
-                        job: jobs.len() - 1,
-                        id: req.id,
-                        include_schedule: req.include_schedule,
-                        outcome: CacheOutcome::Warm,
-                    });
+        // The warm base of a request its key did not find, and the perturbed
+        // grid when its problem was built from it.
+        let (mut warm_base, mut applied) = (None, None);
+        let (problem, digest, stored) =
+            match key.as_ref().and_then(|k| self.cache.get_mut_by_key(k)) {
+                // An exact repeat of a keyed request finds its entry by the key:
+                // a hit builds, digests and compares no problem.
+                Some((digest, entry)) => match stored_answer(entry, req, slot_pin) {
+                    Stored::Hit(line) => return Ok(self.hit(line)),
+                    rederive => (entry.problem.clone(), digest, Some(rederive)),
+                },
+                // The content path: another request form may have cached the
+                // same problem.
+                None => {
+                    let problem;
+                    (problem, warm_base, applied) =
+                        self.build_problem(req, &base_grid, key.as_ref());
+                    let digest = problem.content_digest();
+                    let stored = self
+                        .cache
+                        .get_mut(digest, &problem)
+                        .map(|entry| stored_answer(entry, req, slot_pin));
+                    (problem, digest, stored)
                 }
-            }
-        }
+            };
 
-        self.stats.cold_runs += 1;
-        jobs.push(Job {
-            problem,
-            digest,
-            slot_pin,
-            warm: None,
-            execute: execute(),
+        let (slot_pin, warm) = match stored {
+            Some(Stored::Hit(line)) => return Ok(self.hit(line)),
+            // The entry knows the makespans but not this slot's schedule (or
+            // its simulation). Its own cold logs, replayed under a clean
+            // delta, re-derive the schedule without a cold run.
+            Some(Stored::Rederive {
+                slot,
+                logs: Some(logs),
+            }) => (
+                Some(slot),
+                Some(WarmStart {
+                    logs,
+                    delta: ReplayDelta::clean(n),
+                }),
+            ),
+            Some(Stored::Rederive { logs: None, .. }) => (slot_pin, None),
+            // Not cached — but the *unperturbed* neighbour might be, with
+            // commit logs to warm-start from. It is looked up, and stamped,
+            // only now that the perturbed problem missed. (Warm-eligible
+            // chains never move the root, so the base problem shares
+            // `req.root`.)
+            None => {
+                let base = match &warm_base {
+                    Some(Base::Keyed(k)) => self.cache.get_mut_by_key(k).map(|(_, entry)| entry),
+                    Some(Base::Built(base)) => self.cache.get_mut(base.content_digest(), base),
+                    None => None,
+                };
+                let logs = base
+                    .and_then(|entry| entry.logs.clone())
+                    .filter(|logs| logs.iter().all(|log| log.compatible_with(&problem)));
+                let warm = logs.map(|logs| WarmStart {
+                    logs,
+                    delta: ReplayDelta::from_perturbations(n, &req.perturbations),
+                });
+                (slot_pin, warm)
+            }
+        };
+        // The grid a job executes its answer on, built only for a job whose
+        // request asks to execute.
+        let execute = req.execute.then(|| {
+            applied.unwrap_or_else(|| perturbed_grid(&base_grid, req.root, &req.perturbations).0)
         });
-        Ok(Pending::Job {
+        Ok(self.push_job(
+            jobs,
+            req,
+            Job {
+                problem,
+                digest,
+                key,
+                slot_pin,
+                warm,
+                execute,
+            },
+        ))
+    }
+
+    /// The problem of a request its key did not find, its warm base, and the
+    /// perturbed grid when the problem was built from it.
+    ///
+    /// A warm-eligible chain patches the links it touches into a copy of the
+    /// base problem, bit-identical to building from the perturbed grid: the
+    /// stored problem of the entry the base request's key created when the
+    /// cache holds it, else one built from the grid. Other chains (grid-wide
+    /// scaling, a moved root) build the perturbed grid and the problem from
+    /// it.
+    fn build_problem(
+        &self,
+        req: &Request,
+        base_grid: &Arc<Grid>,
+        key: Option<&RequestKey>,
+    ) -> (BroadcastProblem, Option<Base>, Option<Arc<Grid>>) {
+        if !warm_eligible(&req.perturbations) {
+            let (grid, root) = perturbed_grid(base_grid, req.root, &req.perturbations);
+            let problem = BroadcastProblem::from_grid(&grid, root, req.payload);
+            return (problem, None, Some(grid));
+        }
+        let keyed = key.map(RequestKey::base).and_then(|k| {
+            let stored = &self.cache.peek_by_key(&k)?.problem;
+            Some((
+                stored.perturbed(base_grid, &req.perturbations),
+                Base::Keyed(k),
+            ))
+        });
+        let (problem, base) = keyed.unwrap_or_else(|| {
+            let base = BroadcastProblem::from_grid(base_grid, req.root, req.payload);
+            (
+                base.perturbed(base_grid, &req.perturbations),
+                Base::Built(base),
+            )
+        });
+        (problem, Some(base), None)
+    }
+
+    /// Counts a cache hit answered with `line`.
+    fn hit(&mut self, line: String) -> Pending {
+        self.stats.cache_hits += 1;
+        self.stats.ok += 1;
+        Pending::Ready(line)
+    }
+
+    /// Queues `job` for dispatch, counted as a warm start or a cold run.
+    fn push_job(&mut self, jobs: &mut Vec<Job>, req: &Request, job: Job) -> Pending {
+        let outcome = if job.warm.is_some() {
+            self.stats.warm_starts += 1;
+            CacheOutcome::Warm
+        } else {
+            self.stats.cold_runs += 1;
+            CacheOutcome::Cold
+        };
+        jobs.push(job);
+        Pending::Job {
             job: jobs.len() - 1,
             id: req.id,
             include_schedule: req.include_schedule,
-            outcome: CacheOutcome::Cold,
-        })
+            outcome,
+        }
     }
 
     /// Stages 4–5: run jobs on the engine pool, render the waiting responses
@@ -739,7 +836,7 @@ impl Server {
                     let logs = output.logs.map(Arc::new);
                     let mut entry = CacheEntry::new(job.problem, output.makespans, logs);
                     entry.records[output.slot] = Some(record);
-                    self.cache.insert(job.digest, entry);
+                    self.cache.insert_keyed(job.digest, job.key, entry);
                 }
             }
         }
@@ -822,5 +919,236 @@ impl Server {
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridcast_plogp::MessageSize;
+    use serde::{Serialize as _, Value};
+
+    /// The grid of the server tests, as a request names it.
+    const G: &str = r#""grid":{"table2":{"clusters":6,"seed":3,"cluster_size":4}}"#;
+
+    fn grid() -> Grid {
+        GridGenerator::table2()
+            .cluster_size(4)
+            .generate(6, &mut ChaCha8Rng::seed_from_u64(3))
+    }
+
+    fn fresh_server() -> Server {
+        Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+    }
+
+    fn serve(server: &mut Server, line: &str) -> String {
+        server.handle_batch(&[line.to_string()]).0.remove(0)
+    }
+
+    fn cache_label(response: &str) -> &str {
+        let tag = r#""cache":""#;
+        let at = response.find(tag).expect("an ok response") + tag.len();
+        let len = response[at..].find('"').unwrap();
+        &response[at..at + len]
+    }
+
+    /// The key of a request for [`G`] from `root` with a 1 MiB payload.
+    fn key(root: usize, chain: &[Perturbation]) -> RequestKey {
+        let grid = GridKey::Table2 {
+            clusters: 6,
+            seed: 3,
+            cluster_size: 4,
+        };
+        RequestKey::new(grid, ClusterId(root), MessageSize::from_mib(1), chain)
+    }
+
+    fn table2(seed: u64) -> GridSpec {
+        GridSpec::Table2 {
+            clusters: 3,
+            seed,
+            cluster_size: 2,
+        }
+    }
+
+    #[test]
+    fn the_grid_memo_keeps_the_most_recently_used_grids() {
+        let config = ServerConfig::default();
+        let mut memo = GridCache::default();
+        let resolve = |memo: &mut GridCache, seed| memo.resolve(&table2(seed), &config).unwrap();
+        let memoised = |memo: &GridCache, seed| {
+            memo.grids
+                .iter()
+                .any(|(k, _)| matches!(*k, GridKey::Table2 { seed: s, .. } if s == seed))
+        };
+        let (first, key) = resolve(&mut memo, 0);
+        assert_eq!(
+            key,
+            Some(GridKey::Table2 {
+                clusters: 3,
+                seed: 0,
+                cluster_size: 2
+            })
+        );
+        for seed in 1..=GRID_MEMO as u64 {
+            resolve(&mut memo, seed);
+            assert!(memo.grids.len() <= GRID_MEMO);
+        }
+        assert_eq!(memo.grids.len(), GRID_MEMO);
+        assert!(!memoised(&memo, 0));
+
+        // A memoised grid is shared, and naming it makes it the most recent:
+        // seed 2, not seed 1, is the next to go.
+        let (one, _) = resolve(&mut memo, 1);
+        assert!(Arc::ptr_eq(&one, &resolve(&mut memo, 1).0));
+        let (again, _) = resolve(&mut memo, 0);
+        assert!(memoised(&memo, 1));
+        assert!(!memoised(&memo, 2));
+        assert_eq!(memo.grids.len(), GRID_MEMO);
+        // A regenerated grid is a new copy of the same grid.
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(*first, *again);
+    }
+
+    #[test]
+    fn requests_differing_in_id_flags_or_pin_share_one_entry() {
+        let mut server = fresh_server();
+        let first = serve(&mut server, &format!(r#"{{"id":1,{G},"root":2}}"#));
+        assert_eq!(cache_label(&first), "cold");
+        let repeats = [
+            (r#""id":2,"#, "", "hit"),
+            ("", r#","include_schedule":true"#, "hit"),
+            // The entry's own logs re-derive the simulation, then hold it.
+            (r#""id":3,"#, r#","execute":true"#, "warm"),
+            ("", r#","execute":true,"include_schedule":true"#, "hit"),
+            // A pin the entry holds no schedule for: re-derived, then held.
+            ("", r#","heuristic":"Flat Tree""#, "warm"),
+            (
+                r#""id":4,"#,
+                r#","heuristic":"Flat Tree","execute":true"#,
+                "warm",
+            ),
+            (
+                "",
+                r#","heuristic":"Flat Tree","include_schedule":true"#,
+                "hit",
+            ),
+        ];
+        for (id, flags, label) in repeats {
+            let response = serve(&mut server, &format!(r#"{{{id}{G},"root":2{flags}}}"#));
+            assert_eq!(cache_label(&response), label, "{id}{flags}");
+            assert_eq!(server.cache.len(), 1, "{id}{flags}");
+        }
+        assert!(server.cache.peek_by_key(&key(2, &[])).is_some());
+        assert_eq!(server.stats().cold_runs, 1);
+    }
+
+    #[test]
+    fn a_table2_request_and_the_same_grid_inline_share_one_entry() {
+        let doc = Value::Map(vec![("inline".into(), grid().to_value())]);
+        let inline = format!(
+            r#"{{"grid":{},"root":2}}"#,
+            serde_json::to_string(&doc).unwrap()
+        );
+        let named = format!(r#"{{{G},"root":2}}"#);
+
+        // The inline request has no key: it hits the keyed entry through
+        // its content.
+        let mut server = fresh_server();
+        let cold = serve(&mut server, &named);
+        let hit = serve(&mut server, &inline);
+        assert_eq!(hit, cold.replace(r#""cache":"cold""#, r#""cache":"hit""#));
+        assert_eq!(server.cache.len(), 1);
+
+        // An entry an inline request created carries no key: the keyed
+        // request misses the index and hits the entry through its content.
+        let mut server = fresh_server();
+        let cold = serve(&mut server, &inline);
+        assert!(server.cache.peek_by_key(&key(2, &[])).is_none());
+        let hit = serve(&mut server, &named);
+        assert_eq!(hit, cold.replace(r#""cache":"cold""#, r#""cache":"hit""#));
+        assert_eq!(server.cache.len(), 1);
+    }
+
+    #[test]
+    fn a_content_hit_after_a_key_miss_leaves_its_base_unstamped() {
+        // The perturbed problem is looked up before its base is stamped, so a
+        // request answered by content does not refresh its base: in a
+        // three-entry cache the base stays the least recent cold run, and
+        // the second cold run after it evicts it.
+        let mut server = Server::new(ServerConfig {
+            workers: 1,
+            cache_capacity: 3,
+            ..ServerConfig::default()
+        });
+        let line = |root: usize, chain: &[&str]| {
+            let chain = if chain.is_empty() {
+                String::new()
+            } else {
+                format!(r#","perturbations":[{}]"#, chain.join(","))
+            };
+            format!(r#"{{{G},"root":{root}{chain}}}"#)
+        };
+        let link = r#"{"kind":"degrade_link","from":1,"to":4,"factor":3.0}"#;
+        // A factor of 1 changes no link: the same problem under another key.
+        let same = r#"{"kind":"degrade_uplink","cluster":2,"factor":1.0}"#;
+        for (request, label) in [
+            (line(0, &[]), "cold"),
+            (line(0, &[link]), "warm"),
+            (line(1, &[]), "cold"),
+            (line(0, &[link, same]), "hit"),
+            // Evicts the warm entry: it holds no logs.
+            (line(2, &[]), "cold"),
+            // Evicts the least recent cold run: the base.
+            (line(3, &[]), "cold"),
+            (line(0, &[]), "cold"),
+        ] {
+            assert_eq!(
+                cache_label(&serve(&mut server, &request)),
+                label,
+                "{request}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chain_differing_in_the_last_bit_of_one_factor_misses() {
+        let factor: f64 = 1.7;
+        let nudged = f64::from_bits(factor.to_bits() + 1);
+        let uplink = |factor| Perturbation::DegradeUplink {
+            cluster: ClusterId(1),
+            factor,
+        };
+        // The two factors make different problems, so a shared answer
+        // would be a wrong one.
+        let grid = grid();
+        let base = BroadcastProblem::from_grid(&grid, ClusterId(2), MessageSize::from_mib(1));
+        let problem = |factor| base.perturbed(&grid, &[uplink(factor)]);
+        assert!(!problem(factor).bit_identical(&problem(nudged)));
+
+        let line = |factor: f64| {
+            format!(
+                r#"{{{G},"root":2,"perturbations":[{{"kind":"degrade_uplink","cluster":1,"factor":{factor:?}}}]}}"#
+            )
+        };
+        let mut server = fresh_server();
+        assert_eq!(
+            cache_label(&serve(&mut server, &format!(r#"{{{G},"root":2}}"#))),
+            "cold"
+        );
+        assert_eq!(cache_label(&serve(&mut server, &line(factor))), "warm");
+        assert_eq!(cache_label(&serve(&mut server, &line(factor))), "hit");
+        assert_eq!(cache_label(&serve(&mut server, &line(nudged))), "warm");
+        assert_eq!(server.cache.len(), 3);
+        assert!(server
+            .cache
+            .peek_by_key(&key(2, &[uplink(factor)]))
+            .is_some());
+        assert!(server
+            .cache
+            .peek_by_key(&key(2, &[uplink(nudged)]))
+            .is_some());
     }
 }

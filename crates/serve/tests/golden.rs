@@ -10,6 +10,12 @@
 //! to how a response is produced must leave every byte of it unchanged, for
 //! any worker count.
 //!
+//! `golden/transcript_12_capacity_3.txt` holds the responses to the same
+//! batches from a daemon whose schedule cache keeps three entries, recorded
+//! before the cache gained its request-key index. Under that pressure most
+//! entries are evicted before they are asked for again, so it pins the
+//! two-tier eviction order and the hit/warm/cold label of every line.
+//!
 //! The per-heuristic tests pin the schedule of every cold and warm answer
 //! against an independent [`ScheduleEngine::schedule`] of the same problem.
 
@@ -23,6 +29,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Serialize as _, Value};
 
 const GOLDEN: &str = include_str!("golden/transcript_12.txt");
+const GOLDEN_CAPACITY_3: &str = include_str!("golden/transcript_12_capacity_3.txt");
 
 /// The 12-cluster Table 2 grid every transcript line schedules on (unless it
 /// names another grid).
@@ -198,9 +205,10 @@ fn transcript_batches() -> Vec<Vec<String>> {
     ]
 }
 
-fn serve_transcript(workers: usize) -> Vec<String> {
+fn serve_transcript(workers: usize, cache_capacity: usize) -> Vec<String> {
     let mut server = Server::new(ServerConfig {
         workers,
+        cache_capacity,
         ..ServerConfig::default()
     });
     transcript_batches()
@@ -209,16 +217,27 @@ fn serve_transcript(workers: usize) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn transcript_matches_the_golden_bytes_at_one_and_three_workers() {
-    let golden: Vec<&str> = GOLDEN.lines().collect();
+/// Serves the transcript at 1 and 3 workers and compares every line with
+/// `golden`.
+fn assert_transcript(golden: &str, cache_capacity: usize) {
+    let golden: Vec<&str> = golden.lines().collect();
     for workers in [1, 3] {
-        let served = serve_transcript(workers);
+        let served = serve_transcript(workers, cache_capacity);
         assert_eq!(served.len(), golden.len(), "{workers} workers");
         for (i, (got, want)) in served.iter().zip(&golden).enumerate() {
             assert_eq!(got, want, "line {} at {workers} workers", i + 1);
         }
     }
+}
+
+#[test]
+fn transcript_matches_the_golden_bytes_at_one_and_three_workers() {
+    assert_transcript(GOLDEN, ServerConfig::default().cache_capacity);
+}
+
+#[test]
+fn transcript_under_cache_pressure_matches_the_golden_bytes() {
+    assert_transcript(GOLDEN_CAPACITY_3, 3);
 }
 
 /// The `schedule` field of a response, or of `events` rendered the same way.

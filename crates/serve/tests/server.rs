@@ -265,6 +265,19 @@ fn oversized_and_inadmissible_requests_are_rejected_gracefully() {
 }
 
 #[test]
+fn a_grid_refused_at_admission_stays_refused_on_a_repeat() {
+    // 10 clusters of 30 000 machines pass the cluster limit but not the
+    // machine limit of 2^18; the repeat must not be served from a memo.
+    let mut server = Server::new(config(1));
+    let line = r#"{"grid":{"table2":{"clusters":10,"seed":3,"cluster_size":30000}},"root":0}"#;
+    let refusal = r#"{"status":"error","error":"grid of 300000 machines exceeds the admission limit of 262144"}"#;
+    assert_eq!(one(&mut server, line), refusal);
+    assert_eq!(one(&mut server, line), refusal);
+    assert_eq!(server.stats().errors, 2);
+    assert_eq!(server.stats().ok, 0);
+}
+
+#[test]
 fn stats_count_hits_warms_and_colds() {
     let mut server = Server::new(config(2));
     let base = format!(r#"{{{TABLE2_5}}}"#);

@@ -2,13 +2,16 @@
 //!
 //! ```text
 //! cargo run --release --example profile_engine [clusters]
+//! cargo run --release --example profile_engine --features gridcast-core/telemetry [clusters]
 //! ```
 //!
 //! Timings on shared machines are noisy; every number printed here is a
 //! minimum over several repeats, which is the best estimator of true cost
-//! under external interference.
+//! under external interference. The engine counters printed next to each
+//! heuristic are those of one run; they are recorded only in a build with
+//! the core crate's `telemetry` feature (the second command).
 
-use gridcast::core::{HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
+use gridcast::core::{EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
 use gridcast::prelude::*;
 use gridcast::topology::GridGenerator;
 use rand_chacha::ChaCha8Rng;
@@ -24,18 +27,35 @@ fn main() {
     let problem = BroadcastProblem::from_grid(&grid, ClusterId(0), MessageSize::from_mib(1));
 
     let mut engine = ScheduleEngine::new();
-    // Warm up buffers before timing anything.
+    // Warm up buffers before timing anything, and drop the warm-up's counters.
     let _ = engine.makespan(&problem, HeuristicKind::Ecef);
+    engine.take_telemetry();
 
+    let mut counted = false;
     for kind in HeuristicKind::all() {
         let mut best = f64::INFINITY;
+        // Every run schedules the same problem, so each run's counters are
+        // the same; the last run's are printed.
+        let mut t = EngineTelemetry::default();
         for _ in 0..5 {
             let start = Instant::now();
             let _ = engine.makespan(&problem, kind);
             best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            t = engine.take_telemetry();
         }
-        let t = engine.take_telemetry();
-        println!("{:>10}: {best:>10.2} ms (min of 5)  {t:?}", kind.name());
+        let counters = if t == EngineTelemetry::default() {
+            String::new()
+        } else {
+            counted = true;
+            format!("  {t:?}")
+        };
+        println!("{:>10}: {best:>10.2} ms (min of 5){counters}", kind.name());
+    }
+    if !counted {
+        println!(
+            "the engine counters read zero: they are recorded only with \
+             `cargo run --release --example profile_engine --features gridcast-core/telemetry`"
+        );
     }
 
     println!("default K: {DEFAULT_K_BEST}");
