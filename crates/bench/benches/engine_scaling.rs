@@ -7,10 +7,8 @@
 //! amortises away. Besides the criterion report, the bench writes
 //! `BENCH_engine_scaling.json` at the workspace root (schema documented in
 //! `gridcast_bench`'s crate docs) with batch and per-heuristic medians, the
-//! heuristic-sharded timings at 500+ clusters, the engine's cache telemetry,
-//! and the least-squares growth exponent — and fails loudly if that exponent
-//! leaves the `n^2.08` envelope, if the sharded batch is slower than the
-//! serial one by more than 5% at 500+ clusters, (under
+//! engine's cache telemetry, and the least-squares growth exponent — and
+//! fails loudly if that exponent leaves the `n^2.08` envelope, (under
 //! `ENGINE_SCALING_BASELINE_GATE=1`) if the 200-cluster median regresses more
 //! than 15% against the committed report, or (under `ENGINE_BATCH_GATE=1`, or
 //! `=<millis>` for a custom floor) if the 1000-cluster seven-heuristic batch
@@ -33,18 +31,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gridcast_bench::random_problem;
-use gridcast_core::{
-    schedule_all_sharded, EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST,
-};
+use gridcast_core::{EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
 const SIZES: [usize; 6] = [10, 50, 100, 200, 500, 1000];
 
-/// Cluster count from which the sharded batch is also measured (below this the
-/// per-heuristic work is too small to amortise thread spawning).
-const SHARDED_FROM: usize = 500;
+/// Cluster count from which criterion takes fewer samples per point.
+const LARGE_FROM: usize = 500;
 
 /// The exponent gate: a least-squares fit of `log t` over `log n` must stay
 /// below this for the full sweep. The per-policy K tables plus the bucketed
@@ -63,13 +58,6 @@ const MAX_FITTED_EXPONENT: f64 = 2.08;
 /// memory-bound edge pricing, not bookkeeping), so CI arms the gate with an
 /// explicit calibrated value instead of the default.
 const DEFAULT_BATCH_GATE_MILLIS: f64 = 100.0;
-
-/// Maximum tolerated ratio of the sharded batch median to the serial batch
-/// median at `SHARDED_FROM`+ clusters. The sharded path short-circuits to
-/// the shared-engine serial path when only one shard would spawn, and uses a
-/// pooled engine per thread otherwise, so it must never lose more than
-/// measurement noise to the serial path.
-const MAX_SHARDED_RATIO: f64 = 1.05;
 
 /// Maximum tolerated regression of the 200-cluster median vs the committed
 /// baseline JSON when the baseline gate is enabled.
@@ -91,7 +79,7 @@ fn bench(c: &mut Criterion) {
         let problem = random_problem(clusters, 0);
         let mut engine = ScheduleEngine::new();
         let mut out = Vec::new();
-        group.sample_size(if clusters >= SHARDED_FROM { 5 } else { 10 });
+        group.sample_size(if clusters >= LARGE_FROM { 5 } else { 10 });
         group.throughput(Throughput::Elements(clusters as u64));
         group.bench_with_input(
             BenchmarkId::new("schedule_all", clusters),
@@ -127,9 +115,6 @@ fn median_ns(samples: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 struct Point {
     clusters: usize,
     median_ns: f64,
-    /// Paired (serial, sharded) medians measured back-to-back through the
-    /// same harness, so their ratio is meaningful on a noisy machine.
-    sharded_pair_ns: Option<(f64, f64)>,
     per_heuristic_ns: Vec<(&'static str, f64)>,
     telemetry: EngineTelemetry,
 }
@@ -197,31 +182,9 @@ fn report_scaling() {
                 (kind.name(), ns)
             })
             .collect();
-        // Heuristic-sharded batch: only meaningful once the per-thread work
-        // dwarfs thread spawning. Paired with a serial measurement through
-        // the identical harness so the ratio gate below compares like with
-        // like: the samples alternate between the two sides and each keeps
-        // its minimum — measuring one side wholesale before the other lets a
-        // few milliseconds of background drift masquerade as a systematic
-        // sharding loss, and the min is the one estimator that discards
-        // contamination instead of averaging it in.
-        let sharded_pair_ns = (clusters >= SHARDED_FROM).then(|| {
-            let _ = black_box(schedule_all_sharded(problem, &kinds));
-            let (mut serial, mut sharded) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..5 {
-                serial = serial.min(median_ns(1, reps, || {
-                    engine.schedule_all_into(black_box(problem), &kinds, &mut out);
-                }));
-                sharded = sharded.min(median_ns(1, reps, || {
-                    black_box(schedule_all_sharded(black_box(problem), &kinds));
-                }));
-            }
-            (serial, sharded)
-        });
         let point = Point {
             clusters,
             median_ns: batch,
-            sharded_pair_ns,
             per_heuristic_ns,
             telemetry,
         };
@@ -255,23 +218,6 @@ fn report_scaling() {
         "schedule_all growth exponent {exponent:.3} exceeds {MAX_FITTED_EXPONENT} \
          (super-quadratic rescan term is back?)"
     );
-    for point in &points {
-        if let Some((serial, sharded)) = point.sharded_pair_ns {
-            let ratio = sharded / serial;
-            println!(
-                "engine_scaling: {:>4} clusters sharded/serial ratio {ratio:.3}",
-                point.clusters
-            );
-            assert!(
-                ratio <= MAX_SHARDED_RATIO,
-                "sharded batch at {} clusters is {:.1}% slower than the paired \
-                 serial batch (gate: {:.0}%) — thread spawn overhead is back",
-                point.clusters,
-                (ratio - 1.0) * 100.0,
-                (MAX_SHARDED_RATIO - 1.0) * 100.0
-            );
-        }
-    }
     if let Some(armed) = std::env::var("ENGINE_BATCH_GATE").ok().filter(|v| v != "0") {
         // `ENGINE_BATCH_GATE=1` arms the default floor; any other value is a
         // custom floor in milliseconds.
@@ -491,14 +437,6 @@ fn write_report(points: &[Point], exponent: f64, probe: &[KProbePoint], frontier
              \"growth_vs_prev\": {:.2}",
             point.clusters, point.median_ns, growth
         );
-        if let Some((serial, sharded)) = point.sharded_pair_ns {
-            let _ = write!(
-                json,
-                ", \"serial_median_ns\": {serial:.0}, \"sharded_median_ns\": {sharded:.0}, \
-                 \"sharded_vs_serial\": {:.3}",
-                sharded / serial
-            );
-        }
         json.push_str(",\n     \"per_heuristic_median_ns\": {");
         for (k, (name, ns)) in point.per_heuristic_ns.iter().enumerate() {
             let _ = write!(

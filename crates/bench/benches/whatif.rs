@@ -13,9 +13,9 @@
 //! It is also the **check mode** CI runs:
 //!
 //! * the single-thread and parallel sweeps must be bit-identical report for
-//!   report (the `schedule_all_sharded` aggregation contract, extended to
-//!   whole scenario sweeps), and every winning schedule must simulate to a
-//!   finite completion;
+//!   report (the work-claiming pool returns the reports in scenario order
+//!   whatever the worker count), and every winning schedule must simulate to
+//!   a finite completion;
 //! * the **warm-start gate**: a warm sweep (baseline commit logs replayed
 //!   under each scenario's delta) must be bit-identical to the cold sweep —
 //!   asserted on every run, for the full mix and for the single-link batch;

@@ -1,9 +1,10 @@
-//! Shared workload helpers for the criterion benchmarks.
+//! Shared workload helpers for the four benches: `engine_scaling`, `whatif`,
+//! `faults` and `serving`.
 //!
-//! Every bench regenerates one of the paper's tables or figures (see DESIGN.md's
-//! per-experiment index). The helpers here build the deterministic problem
-//! instances the benches operate on so that all benches agree on the workloads
-//! and stay reproducible across runs.
+//! Each bench asserts its own correctness gates and writes one report at the
+//! workspace root; the schemas follow. The helpers here build the
+//! deterministic problem instances the benches operate on so that all benches
+//! agree on the workloads and stay reproducible across runs.
 //!
 //! # `BENCH_engine_scaling.json` schema
 //!
@@ -21,9 +22,6 @@
 //!   * `k_best` — the candidate-row width of the measured engine
 //!     ([`gridcast_core::DEFAULT_K_BEST`], the same at every size);
 //!   * `growth_vs_prev` — ratio to the previous point's `median_ns`;
-//!   * `sharded_median_ns` — median wall time of the heuristic-sharded
-//!     `schedule_all_sharded` (only emitted for 500+ clusters, where the
-//!     per-thread problem is big enough to amortise thread spawning);
 //!   * `per_heuristic_median_ns` — object keyed by heuristic display name,
 //!     median `ScheduleEngine::makespan` wall time each;
 //!   * `telemetry` — [`gridcast_core::EngineTelemetry`] deltas of one
@@ -97,10 +95,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
-/// Criterion configuration shared by every bench: small sample counts and short
-/// measurement windows so that the full `cargo bench --workspace` sweep (ten
-/// bench binaries, several dozen benchmark ids) completes in minutes while still
-/// producing stable medians for the scheduling micro-costs.
+/// Criterion configuration of the `engine_scaling` bench: small sample counts
+/// and short measurement windows, so that its criterion group finishes in
+/// seconds while still producing stable medians for the batch costs.
 pub fn criterion_config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -125,24 +122,4 @@ pub fn random_problem(clusters: usize, index: u64) -> BroadcastProblem {
         ClusterId(0),
         MessageSize::from_mib(1),
     )
-}
-
-/// A batch of problems for averaging across instances inside one bench
-/// iteration.
-pub fn problem_batch(clusters: usize, count: u64) -> Vec<BroadcastProblem> {
-    (0..count).map(|i| random_problem(clusters, i)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batches_are_deterministic() {
-        let a = problem_batch(6, 3);
-        let b = problem_batch(6, 3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a, b);
-        assert_ne!(random_problem(6, 0), random_problem(6, 1));
-    }
 }

@@ -843,10 +843,10 @@ pub struct ReplayTraits {
 /// achieving that best edge score (smallest score, then smallest sender id).
 ///
 /// Policies are `Send` so a warm [`ScheduleEngine`] (which owns one boxed
-/// policy per heuristic) can move into a worker thread — the engine-pool
-/// shape the sharded batch runners and the simulator's what-if pool build on.
-/// Policy state is per-engine scratch, never shared, so this costs
-/// implementations nothing.
+/// policy per heuristic) can serve as a worker of [`crate::pool::run_ordered`],
+/// the pool behind the Monte-Carlo runner, the simulator's what-if sweeps and
+/// the serving daemon. Policy state is per-engine scratch, never shared, so
+/// this costs implementations nothing.
 pub trait SelectionPolicy: Send {
     /// Display name recorded in produced [`Schedule`]s.
     fn name(&self) -> &str;
@@ -3311,103 +3311,6 @@ impl ScheduleEngine {
     }
 }
 
-/// Schedules `problem` with every heuristic in `kinds`, sharding the heuristics
-/// across scoped worker threads.
-///
-/// Heuristics are independent, so the result is **bit-identical** to the
-/// sequential [`ScheduleEngine::schedule_all`] for any thread count. Each
-/// shard runs the batched entry point (one transfer-matrix build per shard,
-/// not per heuristic) on an engine checked out of a process-wide pool, so
-/// repeated sharded calls reuse warm buffers exactly like a long-lived
-/// sequential engine. When the machine offers no parallelism (or a single
-/// shard would cover everything) no thread is spawned at all — the call
-/// degrades to the sequential fast path on the caller's shared engine, which
-/// is what makes the sharded entry point safe to call unconditionally.
-pub fn schedule_all_sharded(problem: &BroadcastProblem, kinds: &[HeuristicKind]) -> Vec<Schedule> {
-    let chunk = shard_chunk_size(kinds.len());
-    if chunk >= kinds.len() {
-        return with_shared_engine(|engine| engine.schedule_all(problem, kinds));
-    }
-    let mut out: Vec<Option<Schedule>> = (0..kinds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (kind_chunk, out_chunk) in kinds.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut engine = pool_checkout();
-                let mut buf = Vec::with_capacity(kind_chunk.len());
-                engine.schedule_all_into(problem, kind_chunk, &mut buf);
-                for (slot, schedule) in out_chunk.iter_mut().zip(buf) {
-                    *slot = Some(schedule);
-                }
-                pool_return(engine);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("every kind was scheduled by its shard"))
-        .collect()
-}
-
-/// Makespans of every heuristic in `kinds`, sharded across scoped worker
-/// threads like [`schedule_all_sharded`]; bit-identical to the sequential
-/// [`ScheduleEngine::makespans_into`] for any thread count.
-pub fn makespans_sharded(problem: &BroadcastProblem, kinds: &[HeuristicKind]) -> Vec<Time> {
-    let chunk = shard_chunk_size(kinds.len());
-    if chunk >= kinds.len() {
-        return with_shared_engine(|engine| {
-            let mut out = Vec::new();
-            engine.makespans_into(problem, kinds, &mut out);
-            out
-        });
-    }
-    let mut out = vec![Time::ZERO; kinds.len()];
-    std::thread::scope(|scope| {
-        for (kind_chunk, out_chunk) in kinds.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut engine = pool_checkout();
-                let mut buf = Vec::with_capacity(kind_chunk.len());
-                engine.makespans_into(problem, kind_chunk, &mut buf);
-                out_chunk.copy_from_slice(&buf);
-                pool_return(engine);
-            });
-        }
-    });
-    out
-}
-
-fn shard_chunk_size(kinds: usize) -> usize {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(kinds)
-        .max(1);
-    kinds.div_ceil(threads).max(1)
-}
-
-/// Idle engines kept for the sharded entry points. Bounded by the shard
-/// fan-out (one engine per worker thread alive at a time), so the pool never
-/// holds more engines than the machine has threads to run them.
-static ENGINE_POOL: std::sync::Mutex<Vec<ScheduleEngine>> = std::sync::Mutex::new(Vec::new());
-
-fn pool_checkout() -> ScheduleEngine {
-    ENGINE_POOL
-        .lock()
-        .map(|mut pool| pool.pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-fn pool_return(engine: ScheduleEngine) {
-    if let Ok(mut pool) = ENGINE_POOL.lock() {
-        let cap = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if pool.len() < cap {
-            pool.push(engine);
-        }
-    }
-}
-
 thread_local! {
     static SHARED_ENGINE: RefCell<ScheduleEngine> = RefCell::new(ScheduleEngine::new());
 }
@@ -3834,27 +3737,6 @@ mod tests {
         engine.makespans_into(&p, &kinds, &mut spans);
         let expected: Vec<_> = schedules.iter().map(|s| s.makespan()).collect();
         assert_eq!(spans, expected);
-    }
-
-    #[test]
-    fn sharded_batches_are_bit_identical_to_sequential() {
-        let kinds = HeuristicKind::all();
-        let mut engine = ScheduleEngine::new();
-        for clusters in [2usize, 7, 33, 80] {
-            let p = random_problem(clusters, 1000 + clusters as u64);
-            let sequential = engine.schedule_all(&p, &kinds);
-            let sharded = schedule_all_sharded(&p, &kinds);
-            assert_eq!(sequential, sharded, "{clusters} clusters");
-            let spans = makespans_sharded(&p, &kinds);
-            let expected: Vec<_> = sequential.iter().map(|s| s.makespan()).collect();
-            assert!(
-                spans
-                    .iter()
-                    .zip(&expected)
-                    .all(|(a, b)| a.as_secs().to_bits() == b.as_secs().to_bits()),
-                "makespans diverge at {clusters} clusters"
-            );
-        }
     }
 
     #[test]

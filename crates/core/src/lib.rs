@@ -62,15 +62,15 @@ pub mod mixed;
 pub mod optimal;
 pub mod patterns;
 pub mod perturb;
+pub mod pool;
 pub mod problem;
 pub mod schedule;
 pub mod state;
 
 pub use engine::{
-    makespans_sharded, schedule_all_sharded, CandidateTuple, CommitLog, EdgeCosts, EngineTelemetry,
-    EngineView, ExchangeSchedule, LoggedCommit, LookaheadWorkspace, Objective, ReplayTraits,
-    ScheduleEngine, SelectionPolicy, TieBreak, TimedTransfer, Transfer, TransferSet,
-    DEFAULT_K_BEST,
+    CandidateTuple, CommitLog, EdgeCosts, EngineTelemetry, EngineView, ExchangeSchedule,
+    LoggedCommit, LookaheadWorkspace, Objective, ReplayTraits, ScheduleEngine, SelectionPolicy,
+    TieBreak, TimedTransfer, Transfer, TransferSet, DEFAULT_K_BEST,
 };
 pub use global_minimum::{global_minimum, per_heuristic_makespans};
 pub use heuristics::{Heuristic, HeuristicKind};

@@ -6,25 +6,17 @@
 //! same Monte-Carlo methodology to 1000-cluster grids and reports how the
 //! heuristics' mean completion times degrade relative to each other at scale.
 //!
-//! Two things differ from the classic sweeps:
-//!
-//! * iterations are scaled down (these grids are 20–400× bigger than Figure
-//!   2's, and heuristic *ranking* stabilises with far fewer samples than the
-//!   absolute means of the small grids);
-//! * each instance is scheduled with
-//!   [`gridcast_core::makespans_sharded`], sharding the seven heuristics
-//!   across worker threads — the batched-runner counterpart for the regime
-//!   where one problem is large instead of many problems being abundant. The
-//!   aggregation stays **bit-identical for any thread count** because the
-//!   per-instance makespans are summed in heuristic order, exactly like the
-//!   iteration-sharded runner.
+//! It is the classic [`completion_sweep`] with one difference: iterations
+//! are scaled down ([`iterations_for`]), because these grids are 20–400×
+//! bigger than Figure 2's and heuristic *ranking* stabilises with far fewer
+//! samples than the absolute means of the small grids. The Monte-Carlo
+//! runner claims one iteration per worker at a time, so up to one
+//! 1000-cluster instance per core is alive at once.
 
+use crate::figures::completion_sweep;
 use crate::params::ExperimentConfig;
-use crate::report::{FigureResult, Series};
-use gridcast_core::{makespans_sharded, BroadcastProblem, HeuristicKind};
-use gridcast_topology::{ClusterId, GridGenerator};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::report::FigureResult;
+use gridcast_core::HeuristicKind;
 
 /// Cluster counts swept by the scaling figure.
 pub const CLUSTER_COUNTS: [usize; 5] = [50, 100, 200, 500, 1000];
@@ -53,29 +45,9 @@ pub fn scaling_sweep(
     kinds: &[HeuristicKind],
     config: &ExperimentConfig,
 ) -> FigureResult {
-    let iterations = iterations_for(config);
-    let mut per_kind: Vec<Vec<(f64, f64)>> = vec![Vec::new(); kinds.len()];
-    for &clusters in cluster_counts {
-        let mut sums = vec![0.0f64; kinds.len()];
-        for iteration in 0..iterations {
-            let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(iteration as u64));
-            let generator =
-                GridGenerator::with_ranges(config.ranges.clone()).cluster_size(config.cluster_size);
-            let grid = generator.generate(clusters, &mut rng);
-            let problem = BroadcastProblem::from_grid(&grid, ClusterId(0), config.message);
-            let spans = makespans_sharded(&problem, kinds);
-            for (sum, span) in sums.iter_mut().zip(&spans) {
-                *sum += span.as_secs();
-            }
-        }
-        for (points, sum) in per_kind.iter_mut().zip(&sums) {
-            points.push((clusters as f64, sum / iterations as f64));
-        }
-    }
-    let mut figure = FigureResult::new(title, "clusters", "mean completion time (s)");
-    for (kind, points) in kinds.iter().zip(per_kind) {
-        figure.push(Series::new(kind.name(), points));
-    }
+    let config = config.clone().with_iterations(iterations_for(config));
+    let mut figure = completion_sweep(title, cluster_counts, kinds, &config);
+    figure.y_label = "mean completion time (s)".to_string();
     figure
 }
 

@@ -6,16 +6,17 @@
 //! iterations this yields the mean completion times (Figures 1–3) and the hit
 //! rates against the per-iteration global minimum (Figure 4).
 //!
-//! Iterations are independent, so the runner splits them into contiguous
-//! chunks across `std::thread::scope` threads. Every thread owns one
-//! [`ScheduleEngine`] whose buffers are reused across its whole chunk — no
-//! per-iteration `Vec` churn — and writes each iteration's makespans into a
-//! dedicated slot of a shared results table. Because iteration `i` derives its
-//! RNG from `seed + i` and the final aggregation walks the table sequentially
-//! in iteration order, the outcome is **bit-identical regardless of the thread
-//! count** (floating-point summation order never changes).
+//! Iterations are independent, so the runner hands them to
+//! [`gridcast_core::pool::run_ordered`], one worker per available core. Every
+//! worker owns one [`ScheduleEngine`] whose buffers are reused across all the
+//! iterations it claims, and each iteration returns one row of makespans.
+//! Because iteration `i` derives its RNG from `seed + i`, the pool returns the
+//! rows in iteration order and the aggregation walks them sequentially, the
+//! outcome is **bit-identical regardless of the thread count**
+//! (floating-point summation order never changes).
 
 use crate::params::ExperimentConfig;
+use gridcast_core::pool::run_ordered;
 use gridcast_core::{BroadcastProblem, HeuristicKind, ScheduleEngine};
 use gridcast_plogp::Time;
 use gridcast_topology::{ClusterId, GridGenerator};
@@ -70,37 +71,24 @@ impl MonteCarloOutcome {
 /// floating-point noise must not break the tie.
 const HIT_RELATIVE_TOLERANCE: f64 = 1e-9;
 
-/// One worker thread's state: a reusable engine plus the slice of the results
-/// table covering its iteration chunk.
-fn run_chunk(
-    first_iteration: usize,
-    num_clusters: usize,
-    kinds: &[HeuristicKind],
-    config: &ExperimentConfig,
-    rows: &mut [f64],
-) {
-    let k = kinds.len();
-    let mut engine = ScheduleEngine::new();
-    let mut spans: Vec<Time> = Vec::with_capacity(k);
-    for (offset, row) in rows.chunks_mut(k).enumerate() {
-        let iteration = first_iteration + offset;
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(iteration as u64));
-        let generator =
-            GridGenerator::with_ranges(config.ranges.clone()).cluster_size(config.cluster_size);
-        let grid = generator.generate(num_clusters, &mut rng);
-        let problem = BroadcastProblem::from_grid(&grid, ClusterId(0), config.message);
-        engine.makespans_into(&problem, kinds, &mut spans);
-        for (cell, span) in row.iter_mut().zip(&spans) {
-            *cell = span.as_secs();
-        }
-    }
-}
-
 /// Runs the Monte-Carlo sweep for one cluster count.
 pub fn run_monte_carlo(
     num_clusters: usize,
     kinds: &[HeuristicKind],
     config: &ExperimentConfig,
+) -> MonteCarloOutcome {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    run_with_workers(num_clusters, kinds, config, workers)
+}
+
+/// [`run_monte_carlo`] on `workers` worker engines.
+fn run_with_workers(
+    num_clusters: usize,
+    kinds: &[HeuristicKind],
+    config: &ExperimentConfig,
+    workers: usize,
 ) -> MonteCarloOutcome {
     assert!(num_clusters >= 2, "a broadcast needs at least two clusters");
     assert!(
@@ -110,31 +98,33 @@ pub fn run_monte_carlo(
 
     let iterations = config.iterations;
     let k = kinds.len();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(iterations.max(1));
-
-    // One row of `k` makespans per iteration; threads fill disjoint chunks.
-    let mut table = vec![0.0f64; iterations * k];
-    let rows_per_thread = iterations.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in table.chunks_mut(rows_per_thread * k).enumerate() {
-            let first_iteration = chunk_idx * rows_per_thread;
-            scope.spawn(move || {
-                run_chunk(first_iteration, num_clusters, kinds, config, chunk);
-            });
-        }
+    let generator =
+        GridGenerator::with_ranges(config.ranges.clone()).cluster_size(config.cluster_size);
+    let mut engines: Vec<ScheduleEngine> = (0..workers.min(iterations))
+        .map(|_| ScheduleEngine::new())
+        .collect();
+    // One row of `k` makespans per iteration, in iteration order.
+    let rows = run_ordered(&mut engines, iterations, |engine, iteration| {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(iteration as u64));
+        let grid = generator.generate(num_clusters, &mut rng);
+        let problem = BroadcastProblem::from_grid(&grid, ClusterId(0), config.message);
+        let mut row = Vec::with_capacity(k);
+        engine.makespans_into(&problem, kinds, &mut row);
+        row
     });
 
     // Sequential aggregation in iteration order: the summation order — and
-    // therefore the floating-point result — is independent of `threads`.
+    // therefore the floating-point result — is independent of `workers`.
     let mut sum_makespan = vec![0.0f64; k];
     let mut hits = vec![0usize; k];
     let mut sum_global_min = 0.0f64;
-    for row in table.chunks(k) {
-        let global_min = row.iter().copied().fold(f64::INFINITY, f64::min);
-        for (i, &span) in row.iter().enumerate() {
+    for row in &rows {
+        let global_min = row
+            .iter()
+            .map(|span| span.as_secs())
+            .fold(f64::INFINITY, f64::min);
+        for (i, span) in row.iter().enumerate() {
+            let span = span.as_secs();
             sum_makespan[i] += span;
             if span <= global_min * (1.0 + HIT_RELATIVE_TOLERANCE) {
                 hits[i] += 1;
@@ -177,27 +167,27 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_bit_identical_across_chunkings() {
-        // The public entry point adapts to the machine's parallelism; driving
-        // `run_chunk` directly with different chunk splits must reproduce the
-        // exact same table a single chunk produces.
+    fn outcome_is_bit_identical_across_worker_counts() {
+        // The public entry point takes one worker per core; any worker count
+        // must reproduce the exact outcome a single worker produces.
         let kinds = HeuristicKind::all();
         let config = quick().with_iterations(24);
-        let k = kinds.len();
-        let mut whole = vec![0.0f64; 24 * k];
-        run_chunk(0, 5, &kinds, &config, &mut whole);
-        for split in [1usize, 2, 3, 5, 8] {
-            let mut table = vec![0.0f64; 24 * k];
-            let rows_per_chunk = 24usize.div_ceil(split);
-            for (chunk_idx, chunk) in table.chunks_mut(rows_per_chunk * k).enumerate() {
-                run_chunk(chunk_idx * rows_per_chunk, 5, &kinds, &config, chunk);
-            }
-            assert!(
-                table
-                    .iter()
-                    .zip(&whole)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "split into {split} chunks changed the results"
+        let bits = |o: &MonteCarloOutcome| {
+            let mut bits: Vec<u64> = o
+                .mean_makespan
+                .iter()
+                .map(|t| t.as_secs().to_bits())
+                .collect();
+            bits.push(o.mean_global_minimum.as_secs().to_bits());
+            (bits, o.hits.clone())
+        };
+        let single = run_with_workers(5, &kinds, &config, 1);
+        for workers in [2usize, 3, 5, 8] {
+            let outcome = run_with_workers(5, &kinds, &config, workers);
+            assert_eq!(
+                bits(&outcome),
+                bits(&single),
+                "{workers} workers changed the results"
             );
         }
     }

@@ -30,10 +30,9 @@
 //!   scratch.
 //! * [`server`] — the engine pool and the batching loop: requests are
 //!   admitted (size/shape limits), classified against the cache
-//!   (hit / warm / cold), run inline with one worker or fanned out over the
-//!   worker engines in deterministic chunks (responses are bit-identical
-//!   for any worker count), merged back into the cache and answered in
-//!   request order.
+//!   (hit / warm / cold), run inline with one worker or claimed job by job
+//!   by the worker engines (responses are bit-identical for any worker
+//!   count), merged back into the cache and answered in request order.
 //!
 //! [`stats`] instruments the loop: per-request latency histogram (p50/p99),
 //! cache hit/warm/cold counters and batch-size telemetry, all queryable

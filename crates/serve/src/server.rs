@@ -32,11 +32,11 @@
 //!    request asks to `execute` on it. A *hit* serves the stored answer, a
 //!    perturbed neighbour of a cached cold run becomes a *warm* job
 //!    replaying its commit logs, everything else is a *cold* job.
-//! 4. **Dispatch** — the jobs are split into contiguous chunks, one per
-//!    worker engine. The calling thread runs the first chunk and scoped
-//!    threads run the others, so with one worker engine, or one job, the
-//!    batch runs inline. Results land in per-job slots, so the response
-//!    stream is bit-identical for any worker count. A job schedules once: a
+//! 4. **Dispatch** — the worker engines run the jobs through
+//!    [`pool::run_ordered`]: each engine claims the next job when it finishes
+//!    one, and the results come back in job order, so the response stream is
+//!    bit-identical for any worker count. With one worker engine, or one
+//!    job, the batch runs inline on the calling thread. A job schedules once: a
 //!    cold job takes the winner's events from the commit log of the pass
 //!    that priced all seven heuristics, and a warm job keeps the winning
 //!    replay's events from its seven-log pass.
@@ -48,7 +48,7 @@ use crate::cache::{CacheEntry, CacheOutcome, GridKey, RequestKey, ScheduleCache,
 use crate::stats::ServerStats;
 use crate::wire::{self, GridSpec, OkResponse, Request, RequestLine};
 use gridcast_core::{
-    BroadcastProblem, CommitLog, HeuristicKind, Perturbation, ReplayDelta, ScheduleEngine,
+    pool, BroadcastProblem, CommitLog, HeuristicKind, Perturbation, ReplayDelta, ScheduleEngine,
     ScheduleEvent,
 };
 use gridcast_plogp::Time;
@@ -407,13 +407,6 @@ fn run_job(engine: &mut ScheduleEngine, job: &Job) -> JobOutput {
         slot,
         events,
         simulated,
-    }
-}
-
-/// Runs a chunk of jobs on one engine, each output into its job's slot.
-fn run_chunk(engine: &mut ScheduleEngine, jobs: &[Job], outputs: &mut [Option<JobOutput>]) {
-    for (job, out) in jobs.iter().zip(outputs) {
-        *out = Some(run_job(engine, job));
     }
 }
 
@@ -776,30 +769,17 @@ impl Server {
     /// Stages 4–5: run jobs on the engine pool, render the waiting responses
     /// and fold the results into the cache.
     ///
-    /// The jobs are split into one contiguous chunk per engine. The calling
-    /// thread runs the first chunk itself and spawns a scoped thread for each
-    /// other chunk, so with one engine, or one job, no thread is spawned.
+    /// The engines are the workers of [`pool::run_ordered`]: each claims the
+    /// next job as it finishes one, so a cold run does not hold up the warm
+    /// jobs queued behind it. With one engine, or one job, the calling thread
+    /// runs every job and no thread is spawned.
     fn dispatch_and_merge(&mut self, jobs: Vec<Job>, pending: &mut [Pending]) {
         if jobs.is_empty() {
             return;
         }
-        let chunk = jobs.len().div_ceil(self.engines.len().min(jobs.len()));
-        let mut outputs: Vec<Option<JobOutput>> = jobs.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut lanes = self
-                .engines
-                .iter_mut()
-                .zip(jobs.chunks(chunk).zip(outputs.chunks_mut(chunk)));
-            let (engine, (own_jobs, own_outs)) = lanes.next().expect("a job and an engine");
-            for (engine, (job_chunk, out_chunk)) in lanes {
-                scope.spawn(move || run_chunk(engine, job_chunk, out_chunk));
-            }
-            run_chunk(engine, own_jobs, own_outs);
+        let outputs = pool::run_ordered(&mut self.engines, jobs.len(), |engine, i| {
+            run_job(engine, &jobs[i])
         });
-        let outputs: Vec<JobOutput> = outputs
-            .into_iter()
-            .map(|o| o.expect("every job chunk was dispatched"))
-            .collect();
 
         for p in pending.iter_mut() {
             if let Pending::Job {

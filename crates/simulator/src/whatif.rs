@@ -4,17 +4,16 @@
 //! The paper's value proposition is *predictive* — pick the best grid-aware
 //! schedule before running it — which makes the reproduction's currency the
 //! number of what-if evaluations per second. A [`WhatIfRunner`] owns a
-//! reference to one immutable [`Grid`] and fans a batch of [`Scenario`]s out
-//! over a scoped worker pool; every worker carries its own
-//! [`ScheduleEngine`] (engine buffers are mutable scratch; the shared inputs
-//! are `Sync`-clean read paths), evaluates its scenarios independently, and
-//! writes each [`WhatIfReport`] into the slot of its scenario index.
+//! reference to one immutable [`Grid`] and runs a batch of [`Scenario`]s
+//! through [`gridcast_core::pool::run_ordered`]. Every worker carries its own
+//! [`ScheduleEngine`] and makespan buffer (mutable scratch; the shared inputs
+//! are `Sync`-clean read paths) and claims the next scenario when it finishes
+//! one, so a few expensive scenarios do not stall one worker's share.
 //!
 //! Because every scenario is a pure function of `(grid, scenario)` and the
-//! aggregation is **ordered by scenario index**, the result is bit-identical
-//! for any worker-thread count — the same contract as
-//! [`gridcast_core::schedule_all_sharded`], extended from heuristics to whole
-//! scenario sweeps. The CI what-if bench holds the runner to it.
+//! pool returns the reports **ordered by scenario index**, the result is
+//! bit-identical for any worker-thread count. The CI what-if bench holds the
+//! runner to it.
 //!
 //! A scenario's evaluation is the full predict-then-verify loop:
 //!
@@ -45,6 +44,7 @@ use crate::network::NodeNetwork;
 use crate::outcome::{Outcome, SimulationOutcome};
 use crate::plan::SendPlan;
 use crate::trace::NullSink;
+use gridcast_core::pool::run_ordered;
 use gridcast_core::{BroadcastProblem, CommitLog, HeuristicKind, ScheduleEngine};
 use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid};
@@ -134,9 +134,9 @@ pub struct WhatIfReport {
     pub undelivered: usize,
 }
 
-/// A scoped worker pool running what-if scenarios against one shared,
-/// read-only grid. See the [module docs](self) for the evaluation pipeline
-/// and the determinism contract.
+/// A worker pool running what-if scenarios against one shared, read-only
+/// grid. See the [module docs](self) for the evaluation pipeline and the
+/// determinism contract.
 #[derive(Debug, Clone)]
 pub struct WhatIfRunner<'a> {
     grid: &'a Grid,
@@ -186,6 +186,15 @@ struct WarmState {
     scratch: Grid,
     network: NodeNetwork,
     patched: Vec<(ClusterId, ClusterId)>,
+}
+
+/// One pool worker: an engine, its makespan buffer and, in a warm runner,
+/// the [`WarmState`] built on the worker's first scenario.
+#[derive(Default)]
+struct Worker {
+    engine: ScheduleEngine,
+    makespans: Vec<Time>,
+    warm: Option<WarmState>,
 }
 
 /// The winning slot of a candidate-makespan vector: smallest makespan, ties
@@ -250,6 +259,7 @@ impl<'a> WhatIfRunner<'a> {
 
     /// Overrides the worker count (at least 1). The results are bit-identical
     /// for any value — this knob trades wall-clock for cores, nothing else.
+    /// With one worker the sweep runs on the calling thread.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "the pool needs at least one worker");
         self.threads = threads;
@@ -297,82 +307,48 @@ impl<'a> WhatIfRunner<'a> {
             .unwrap_or_else(|e| panic!("what-if sweep failed: {e}"))
     }
 
-    /// Fallible twin of [`WhatIfRunner::run_with_telemetry`]. On error the
-    /// remaining scenarios of each shard are skipped and the first error in
-    /// scenario order is returned.
+    /// Fallible twin of [`WhatIfRunner::run_with_telemetry`]. A runner with
+    /// no candidate heuristics is refused before any scenario runs; otherwise
+    /// the first error in scenario order is returned.
     pub fn try_run_with_telemetry(
         &self,
         scenarios: &[Scenario],
     ) -> Result<(Vec<WhatIfReport>, WarmStartTelemetry), SimError> {
-        let mut out: Vec<Option<Result<WhatIfReport, SimError>>> =
-            (0..scenarios.len()).map(|_| None).collect();
         if scenarios.is_empty() {
             return Ok((Vec::new(), WarmStartTelemetry::default()));
         }
-        let chunk = scenarios.len().div_ceil(self.threads.min(scenarios.len()));
-        let mut counters = vec![WarmStartTelemetry::default(); scenarios.len().div_ceil(chunk)];
-        std::thread::scope(|scope| {
-            for ((chunk_index, (scenario_chunk, out_chunk)), counter) in scenarios
-                .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-                .zip(counters.iter_mut())
-            {
-                let base = chunk_index * chunk;
-                scope.spawn(move || {
-                    let mut engine = ScheduleEngine::new();
-                    let mut makespans = Vec::new();
-                    let mut warm = if self.warm {
-                        Some(self.warm_state(&mut engine))
-                    } else {
-                        None
-                    };
-                    // The baseline logging run is setup, not sweep work.
-                    engine.take_telemetry();
-                    for (i, (scenario, slot)) in
-                        scenario_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        let report = match warm.as_mut() {
-                            Some(w) if warm_eligible(scenario) => self.try_evaluate_warm(
-                                &mut engine,
-                                w,
-                                &mut makespans,
-                                base + i,
-                                scenario,
-                            ),
-                            _ => self.try_evaluate(&mut engine, &mut makespans, base + i, scenario),
-                        };
-                        let failed = report.is_err();
-                        *slot = Some(report);
-                        if failed {
-                            // Skip the rest of the shard: the caller gets the
-                            // first error in scenario order, not a panic.
-                            break;
-                        }
-                    }
-                    let t = engine.take_telemetry();
-                    *counter = WarmStartTelemetry {
-                        replayed_commits: t.replayed_commits,
-                        repaired_commits: t.repaired_commits,
-                        recomputed_commits: t.recomputed_commits,
-                    };
-                });
+        if self.kinds.is_empty() {
+            return Err(SimError::NoCandidates);
+        }
+        let mut workers: Vec<Worker> = (0..self.threads.min(scenarios.len()))
+            .map(|_| Worker::default())
+            .collect();
+        let reports = run_ordered(&mut workers, scenarios.len(), |w, i| {
+            let scenario = &scenarios[i];
+            if self.warm && w.warm.is_none() {
+                w.warm = Some(self.warm_state(&mut w.engine));
+                // The baseline logging run is setup, not sweep work.
+                w.engine.take_telemetry();
+            }
+            match w.warm.as_mut() {
+                Some(warm) if warm_eligible(scenario) => {
+                    self.try_evaluate_warm(&mut w.engine, warm, &mut w.makespans, i, scenario)
+                }
+                _ => self.try_evaluate(&mut w.engine, &mut w.makespans, i, scenario),
             }
         });
-        let telemetry = counters
-            .into_iter()
+        let telemetry = workers
+            .iter_mut()
+            .map(|w| {
+                let t = w.engine.take_telemetry();
+                WarmStartTelemetry {
+                    replayed_commits: t.replayed_commits,
+                    repaired_commits: t.repaired_commits,
+                    recomputed_commits: t.recomputed_commits,
+                }
+            })
             .fold(WarmStartTelemetry::default(), WarmStartTelemetry::merge);
-        let mut reports = Vec::with_capacity(out.len());
-        for slot in out {
-            match slot {
-                Some(Ok(report)) => reports.push(report),
-                Some(Err(e)) => return Err(e),
-                // Only reachable behind an erroring slot of the same shard,
-                // and the error above returns first.
-                None => return Err(SimError::NoCandidates),
-            }
-        }
-        Ok((reports, telemetry))
+        Ok((reports.into_iter().collect::<Result<_, _>>()?, telemetry))
     }
 
     /// Evaluates one scenario with a caller-owned engine (the worker loop;
