@@ -51,10 +51,12 @@
 //! [`LookaheadWorkspace`] this brings a full schedule to `O(n² log n)` from the
 //! seed's `O(n³)` (and worse with lookahead), with the rescan term — the
 //! remaining super-quadratic contribution — amortised away by the runner-up
-//! repairs and the pruned walk (`benches/engine_scaling.rs` counts them; at
-//! the default width on Table-2 grids the repair rate is ~59% at 100
-//! clusters and ~46% at 1000, and the growth exponent stays near 2 — see the
-//! committed `BENCH_engine_scaling.json`).
+//! repairs and the pruned walk. `tests/rescan_regression.rs` pins their exact
+//! counts on seeded Table-2 grids: at the default width the runners-up repair
+//! ~59% of invalidations at 100 clusters and ~46% at 1000, where the walk
+//! examines 4.9 M senders per seven-heuristic batch. The end-to-end timings
+//! of that batch are perfbench's `batch_1000` workload, and
+//! `BENCH_ablation.json` records its interleaved A/B runs.
 //!
 //! All engine buffers are reused across rounds, heuristics and problems: after
 //! warm-up, a call to [`ScheduleEngine::makespan`] performs **zero heap
@@ -117,12 +119,11 @@ const NO_SENDER: u32 = u32::MAX;
 /// rows), so [`ScheduleEngine::with_k_best`] may override it freely. Wider
 /// rows repair more invalidations in place but pay insertion shuffles on
 /// every offer; since the per-receiver pruned rescan walk made row misses
-/// cheap, the `engine_scaling` probe (K ∈ {2, 4, 8, 16, 32} at 500 and 1000
-/// clusters, in `BENCH_engine_scaling.json`) and the end-to-end A/B in
-/// `BENCH_ablation.json` could not tell 2 from 4 or from the old per-policy
-/// table on the 1000-cluster batch. On the 100-cluster serve mix the old
-/// table's `K = 1` for Flat Tree and FEF read ~4% more throughput, inside
-/// the benchmark's bound.
+/// cheap, the end-to-end A/B in `BENCH_ablation.json` could not tell 2 from
+/// 4 or from the old per-policy table on the 1000-cluster batch, whose exact
+/// repair and rescan counts at this width `tests/rescan_regression.rs` pins.
+/// On the 100-cluster serve mix the old table's `K = 1` for Flat Tree and FEF
+/// read ~4% more throughput, inside the benchmark's bound.
 pub const DEFAULT_K_BEST: usize = 2;
 
 /// Senders per bucket of the ready-order index: each bucket of the sorted
@@ -629,8 +630,7 @@ pub struct EngineTelemetry {
     /// Invalidations that fell back to a pruned ready-order rescan.
     pub rescans: u64,
     /// Senders examined by the shared rescan walks — the dominant rescan
-    /// cost (previously exported as `heap_pops`, a name that survived from
-    /// the binary-heap implementation the sorted walk replaced).
+    /// cost.
     pub walked_senders: u64,
     /// Whole buckets of the ready-order index the shared rescan walks skipped
     /// with a single bound comparison instead of walking their senders
@@ -2761,8 +2761,7 @@ impl ScheduleEngine {
     /// The row width is a **pure performance knob**: the head invariant and
     /// the rescan fallback keep schedules byte-identical for any `k ≥ 1`
     /// (asserted by the engine's parity tests) — only the repair rate, and
-    /// with it the rescan work, changes. The `engine_scaling` bench uses this
-    /// to probe K ∈ {2, 4, 8, 16, 32} at 500/1000 clusters.
+    /// with it the rescan work, changes.
     pub fn with_k_best(k: usize) -> Self {
         assert!(k >= 1, "the candidate row needs at least the head entry");
         ScheduleEngine {
@@ -3083,8 +3082,8 @@ impl ScheduleEngine {
     }
 
     /// Schedules `problem` with every heuristic in `kinds`, reusing the state
-    /// buffers across heuristics. This is the batched entry point used by the
-    /// Monte-Carlo runner and the benches.
+    /// buffers across heuristics. The Monte-Carlo and what-if runners use its
+    /// makespan-only sibling, [`ScheduleEngine::makespans_into`].
     pub fn schedule_all(
         &mut self,
         problem: &BroadcastProblem,
@@ -3140,7 +3139,7 @@ impl ScheduleEngine {
     /// [`ScheduleEngine::schedule_transfers_quadratic`], the differential
     /// oracle the proptests hold this implementation **byte-identical** to,
     /// and the telemetry counters (`exchange_pops`, `exchange_reinserts`) pin
-    /// the work in `crates/bench/tests/exchange_regression.rs`.
+    /// the work in `crates/core/tests/exchange_regression.rs`.
     pub fn schedule_transfers(&mut self, set: &TransferSet) -> ExchangeSchedule {
         let release = vec![Time::ZERO; set.num_clusters()];
         self.schedule_transfers_from(set, &release)
@@ -3744,7 +3743,7 @@ mod tests {
         // Schedules are byte-identical for any K ≥ 1: the row head is exact
         // between commits and the rescan fallback rebuilds exact rows, so
         // shrinking or growing the row only moves work between repairs and
-        // rescans. This is what licenses the engine_scaling K sweep.
+        // rescans. This is what licenses `ScheduleEngine::with_k_best`.
         let mut reference = ScheduleEngine::new();
         for clusters in [2usize, 13, 48, 96] {
             let p = random_problem(clusters, 7000 + clusters as u64);

@@ -7,9 +7,24 @@
 //! done changes). This test pins the exact telemetry on deterministic
 //! all-to-all workloads and gates the growth so such a regression turns a
 //! build red instead of a future scaling sweep.
+//!
+//! The counters exist only with the crate's `telemetry` feature, so this file
+//! compiles to nothing without it:
+//! `cargo test -p gridcast-core --features telemetry --test exchange_regression`.
+#![cfg(feature = "telemetry")]
 
-use gridcast_core::ScheduleEngine;
-use gridcast_experiments::figures::gather::alltoall_transfer_set;
+use gridcast_core::{alltoall_transfer_set, ScheduleEngine, TransferSet};
+use gridcast_plogp::MessageSize;
+use gridcast_topology::GridGenerator;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// The all-to-all transfer set of a random Table 2 grid, 4 KiB per node pair:
+/// the workload of the experiments crate's exchange-scheduler panel.
+fn alltoall(clusters: usize, seed: u64) -> TransferSet {
+    let grid = GridGenerator::table2().generate(clusters, &mut ChaCha8Rng::seed_from_u64(seed));
+    alltoall_transfer_set(&grid, MessageSize::from_kib(4))
+}
 
 /// Exact pins on the 64-cluster all-to-all (T = 4032): total heap pops and
 /// the re-keys among them. Deterministic — drift means the lazy-invalidation
@@ -24,7 +39,7 @@ fn exchange_heap_work_is_pinned_and_sub_quadratic() {
     let mut engine = ScheduleEngine::new();
     engine.take_telemetry();
 
-    let set = alltoall_transfer_set(64, 1000);
+    let set = alltoall(64, 1000);
     let t64 = set.transfers().len() as u64;
     assert_eq!(t64, 64 * 63);
     let _ = engine.schedule_transfers(&set);
@@ -57,7 +72,7 @@ fn exchange_heap_work_is_pinned_and_sub_quadratic() {
     // for workload drift but fails anything near-quadratic.
     let mut pops = Vec::new();
     for clusters in [100usize, 200] {
-        let set = alltoall_transfer_set(clusters, 2000 + clusters as u64);
+        let set = alltoall(clusters, 2000 + clusters as u64);
         let _ = engine.schedule_transfers(&set);
         let tel = engine.take_telemetry();
         let t = set.transfers().len() as u64;

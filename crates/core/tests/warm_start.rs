@@ -2,9 +2,12 @@
 //! contract swept across all policies, candidate-row widths and random
 //! perturbations (single links, whole sites, moved roots) up to 128
 //! clusters, plus exact replay-telemetry pins on the acceptance-scale
-//! 100-cluster grid.
+//! 100-cluster grid (those read the engine counters, so they run only with
+//! the crate's `telemetry` feature).
 
-use gridcast_bench::random_grid;
+mod common;
+
+use common::random_grid;
 use gridcast_core::{BroadcastProblem, HeuristicKind, Perturbation, Schedule, ScheduleEngine};
 use gridcast_plogp::MessageSize;
 use gridcast_topology::ClusterId;
@@ -157,6 +160,7 @@ fn every_policy_and_k_replays_the_acceptance_grid() {
 /// deterministic function of the replay regimes (gap-blind policies replay
 /// everything verbatim, monotone policies repair suspects in place, checked
 /// policies recompute from the first commit that exposes dirty state).
+#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_pins_on_the_acceptance_grid() {
     let grid = random_grid(100, 0);

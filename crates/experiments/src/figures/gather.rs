@@ -32,7 +32,8 @@ pub const GATHER_KIB: [u64; 5] = [4, 16, 64, 256, 1024];
 
 /// Cluster counts swept by the exchange-scheduler comparison. The oracle is
 /// quadratic in T = n·(n−1), so the sweep stops where it starts to hurt; the
-/// heap side alone is also measured at larger sizes by the bench suite.
+/// heap's work alone is pinned up to 200 clusters by the core crate's
+/// `exchange_regression` test.
 pub const EXCHANGE_CLUSTERS: [usize; 4] = [25, 50, 100, 150];
 
 /// Runs the gather-policy comparison on the Table-3 grid.

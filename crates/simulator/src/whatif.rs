@@ -12,8 +12,8 @@
 //!
 //! Because every scenario is a pure function of `(grid, scenario)` and the
 //! pool returns the reports **ordered by scenario index**, the result is
-//! bit-identical for any worker-thread count. The CI what-if bench holds the
-//! runner to it.
+//! bit-identical for any worker-thread count. The unit tests hold the runner
+//! to it at 1 against 2, 4 and 5 workers, cold, warm and under faults.
 //!
 //! A scenario's evaluation is the full predict-then-verify loop:
 //!
@@ -148,8 +148,8 @@ pub struct WhatIfRunner<'a> {
     warm: bool,
 }
 
-/// Warm-start replay counters summed over every worker engine of one sweep —
-/// the telemetry leg of `BENCH_whatif.json`. The counters mirror
+/// Warm-start replay counters summed over every worker engine of one sweep.
+/// The counters mirror
 /// [`gridcast_core::EngineTelemetry`] and stay all-zero when the core's
 /// `telemetry` feature is compiled out or the runner is cold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -632,6 +632,11 @@ mod tests {
                 a.simulated.as_secs().to_bits(),
                 b.simulated.as_secs().to_bits()
             );
+            assert!(
+                a.simulated.is_finite(),
+                "scenario {}: the winner never completed",
+                a.scenario
+            );
         }
     }
 
@@ -952,19 +957,54 @@ mod tests {
         assert_reports_bit_identical(&cold, &warm);
     }
 
+    /// Exact replay work of a warm sweep: 400 single-link degradations of
+    /// the seeded 100-cluster Table 2 grid (the grid of the core crate's
+    /// work pins), summed over every worker engine. How much of each
+    /// baseline log survives is a deterministic function of the replay
+    /// regimes, and it is what makes a warm sweep cheaper than a cold one: a
+    /// replay that diverged earlier than it must would recompute more
+    /// commits and move the pin. The split must not depend on the worker
+    /// count, and neither may the reports.
     #[cfg(feature = "telemetry")]
     #[test]
     fn warm_sweep_reports_replay_telemetry() {
-        let grid = GridGenerator::table2()
-            .cluster_size(4)
-            .generate(12, &mut ChaCha8Rng::seed_from_u64(3));
-        let scenarios = warm_scenario_mix(&grid, 16);
-        let runner = WhatIfRunner::new(&grid, MessageSize::from_mib(1), ClusterId(0))
-            .with_threads(1)
-            .with_warm_start(true);
-        let (reports, telemetry) = runner.run_with_telemetry(&scenarios);
-        assert_eq!(reports.len(), scenarios.len());
-        assert!(telemetry.replayed_commits > 0, "some prefixes must replay");
+        const CLUSTERS: usize = 100;
+        let grid =
+            GridGenerator::table2().generate(CLUSTERS, &mut ChaCha8Rng::seed_from_u64(0x0B0B_5CA7));
+        let scenarios: Vec<Scenario> = (0..400)
+            .map(|i| {
+                let from = i % CLUSTERS;
+                Scenario::one(Perturbation::DegradeLink {
+                    from: ClusterId(from),
+                    to: ClusterId((from + 1 + i / CLUSTERS) % CLUSTERS),
+                    factor: 1.25 + 0.25 * (i % 12) as f64,
+                })
+            })
+            .collect();
+        let runner =
+            WhatIfRunner::new(&grid, MessageSize::from_mib(1), ClusterId(0)).with_warm_start(true);
+        let mut sweeps = Vec::new();
+        for threads in [1, 2] {
+            let (reports, telemetry) = runner
+                .clone()
+                .with_threads(threads)
+                .run_with_telemetry(&scenarios);
+            assert_eq!(
+                telemetry,
+                WarmStartTelemetry {
+                    replayed_commits: 285_255,
+                    repaired_commits: 8_071,
+                    recomputed_commits: 23_474,
+                },
+                "replay telemetry moved at {threads} workers"
+            );
+            assert!(
+                reports.iter().all(|r| r.simulated.is_finite()),
+                "every winning schedule executes to completion"
+            );
+            sweeps.push(reports);
+        }
+        assert_reports_bit_identical(&sweeps[0], &sweeps[1]);
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! End-to-end fault suite: the storm smoke matrix CI runs per seed, and the
-//! crash-recovery conformance the paper's predictive pitch depends on.
-//!
-//! The smoke matrix is seed-parameterised: `FAULT_SMOKE_SEED=<u64>` restricts
-//! a run to one seed (CI fans the three defaults out as a job matrix across
-//! feature configurations); without it every default seed runs in-process.
+//! End-to-end fault suite: the storm smoke matrix over three fixed seeds, and
+//! the crash-recovery conformance the paper's predictive pitch depends on.
 //!
 //! Two contracts are pinned here, end to end through the facade crate:
 //!
@@ -24,17 +20,8 @@ use gridcast::simulator::{
 };
 use gridcast::topology::{grid5000_table3, ClusterId, NodeId};
 
-/// The seeds of the smoke matrix: all three by default, exactly one when
-/// `FAULT_SMOKE_SEED` is set (the CI matrix runs one seed per job).
-fn smoke_seeds() -> Vec<u64> {
-    match std::env::var("FAULT_SMOKE_SEED") {
-        Ok(raw) => vec![raw
-            .trim()
-            .parse()
-            .expect("FAULT_SMOKE_SEED must be an unsigned integer")],
-        Err(_) => vec![11, 23, 47],
-    }
-}
+/// The seeds of the smoke matrix.
+const SMOKE_SEEDS: [u64; 3] = [11, 23, 47];
 
 /// Loss rates of the smoke matrix (the acceptance gate covers p ≤ 0.2).
 const SMOKE_LOSS_RATES: [f64; 3] = [0.0, 0.1, 0.2];
@@ -52,7 +39,7 @@ fn storm_smoke_matrix_is_loud_and_thread_count_independent() {
     let grid = grid5000_table3();
     let runner =
         WhatIfRunner::new(&grid, MessageSize::from_mib(1), ClusterId(0)).with_retry(smoke_retry());
-    for seed in smoke_seeds() {
+    for seed in SMOKE_SEEDS {
         let crash_sets = vec![
             Vec::new(),
             vec![NodeCrash {
@@ -63,8 +50,12 @@ fn storm_smoke_matrix_is_loud_and_thread_count_independent() {
         let scenarios = fault_sweep(seed, &SMOKE_LOSS_RATES, &crash_sets);
         let one = runner.clone().with_threads(1).run(&scenarios);
         let many = runner.clone().with_threads(4).run(&scenarios);
+        // A second sweep from the same seeds: fixed seeds pin the runs.
+        let again = runner.clone().with_threads(4).run(&scenarios);
+        assert_eq!(many, again, "seed {seed}: the sweep does not replay");
         assert_eq!(one.len(), many.len());
         for (a, b) in one.iter().zip(&many) {
+            assert_eq!(a.best, b.best, "seed {seed} cell {}", a.scenario);
             assert_eq!(
                 a.simulated.as_secs().to_bits(),
                 b.simulated.as_secs().to_bits(),
@@ -79,6 +70,7 @@ fn storm_smoke_matrix_is_loud_and_thread_count_independent() {
             );
             assert_eq!(a.events, b.events, "seed {seed} cell {}", a.scenario);
         }
+        let mut loss_retries = 0;
         for (report, scenario) in many.iter().zip(&scenarios) {
             assert_eq!(
                 report.simulated.is_finite(),
@@ -96,8 +88,14 @@ fn storm_smoke_matrix_is_loud_and_thread_count_independent() {
                     report.scenario,
                     faults.loss
                 );
+                loss_retries += report.retries;
             }
         }
+        // Crashes force retries too; the loss draws alone must force some.
+        assert!(
+            loss_retries > 0,
+            "seed {seed}: message loss never forced a single retry"
+        );
     }
 }
 
@@ -112,7 +110,7 @@ fn faulty_execution_replays_byte_identically_per_seed() {
     let mut engine = ScheduleEngine::new();
     let schedule = engine.schedule(&problem, HeuristicKind::EcefLaMax);
     let plan = SendPlan::from_grid_schedule(&grid, &schedule);
-    for seed in smoke_seeds() {
+    for seed in SMOKE_SEEDS {
         let faults = gridcast::simulator::FaultPlan::new(seed)
             .with_loss(0.15)
             .with_duplication(0.1)

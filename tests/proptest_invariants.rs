@@ -135,9 +135,10 @@ proptest! {
     /// implementations on random Table-2 grids up to 128 clusters: identical
     /// event sequences (senders, receivers, start/arrival bit patterns),
     /// completion times and JSON serialisations. The range deliberately
-    /// exceeds the 100-cluster grid whose rescan telemetry is pinned by the
-    /// bench crate, so the k-best repair/rescan machinery is exercised well
-    /// past the sizes where every invalidation still repairs in place.
+    /// exceeds the 100-cluster grid whose rescan telemetry is pinned by
+    /// `crates/core/tests/rescan_regression.rs`, so the k-best repair/rescan
+    /// machinery is exercised well past the sizes where every invalidation
+    /// still repairs in place.
     #[test]
     fn engine_matches_reference_implementations_exactly(
         clusters in 2usize..=128,
