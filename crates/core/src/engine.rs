@@ -1132,18 +1132,6 @@ impl CommitLog {
         &self.commits
     }
 
-    /// The logged run's schedule events: one [`ScheduleEvent`] per commit,
-    /// in commit order — the events the run itself produced, bit for bit, so
-    /// a cold run's winner never has to be scheduled a second time.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = ScheduleEvent> + '_ {
-        self.commits.iter().map(|c| ScheduleEvent {
-            sender: ClusterId(c.sender as usize),
-            receiver: ClusterId(c.receiver as usize),
-            start: c.start,
-            arrival: c.arrival,
-        })
-    }
-
     /// Whether `problem` has the same identity (root, payload, cluster
     /// count) as the logged run — the precondition for replaying any prefix.
     /// A mismatch (an [`Perturbation::AlternateRoot`] scenario, a different
@@ -2716,6 +2704,46 @@ macro_rules! with_policy {
     }};
 }
 
+/// The winner among candidate makespans: the slot of the smallest one, ties
+/// to the earlier slot; `None` when there is no candidate. The one tie-break
+/// of the predictive loop: [`ScheduleEngine::price`] picks with it, and so
+/// does the serving daemon when it answers from a cached entry.
+pub fn best_slot(makespans: &[Time]) -> Option<usize> {
+    makespans
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &makespan)| makespan)
+        .map(|(slot, _)| slot)
+}
+
+/// Where a pricing pass ([`ScheduleEngine::price`]) takes each candidate's
+/// schedule from.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidates<'a> {
+    /// Schedule each heuristic from scratch, logging its commits.
+    Cold(&'a [HeuristicKind]),
+    /// Replay each baseline log under `delta`: one candidate per log.
+    Warm {
+        /// The baseline logs, in candidate order.
+        logs: &'a [CommitLog],
+        /// How the priced problem differs from the logs' baseline.
+        delta: &'a ReplayDelta,
+    },
+}
+
+/// The result of [`ScheduleEngine::price`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Priced {
+    /// Every candidate's makespan, in candidate order.
+    pub makespans: Vec<Time>,
+    /// The chosen slot: the pin, else [`best_slot`] of the makespans.
+    pub slot: usize,
+    /// The chosen slot's schedule events, in commit order.
+    pub events: Vec<ScheduleEvent>,
+    /// One commit log per candidate from a cold pass; `None` from a warm one.
+    pub logs: Option<Vec<CommitLog>>,
+}
+
 /// The reusable, pattern-agnostic scheduling engine.
 ///
 /// One engine owns the A/B bookkeeping buffers and one warm policy instance
@@ -2864,20 +2892,29 @@ impl ScheduleEngine {
         kind: HeuristicKind,
     ) -> (Schedule, CommitLog) {
         self.state.prepare_tx(problem);
+        let log = self.run_logged_prepared(problem, kind);
+        (self.state.schedule_of_events(problem, kind.name()), log)
+    }
+
+    /// One logged run of `kind` against an already-built transfer matrix:
+    /// the events land in the engine buffer and the log is returned.
+    fn run_logged_prepared(
+        &mut self,
+        problem: &BroadcastProblem,
+        kind: HeuristicKind,
+    ) -> CommitLog {
         let ScheduleEngine { state, policies } = self;
         let mut commits = Vec::new();
         with_policy!(policies, kind, |p| {
             state.run_logged::<_, true>(problem, p, &mut commits)
         });
-        let schedule = state.schedule_of_events(problem, kind.name());
-        let log = CommitLog {
+        CommitLog {
             root: problem.root,
             message: problem.message,
             n: problem.num_clusters(),
             kind,
             commits,
-        };
-        (schedule, log)
+        }
     }
 
     /// The logged twin of [`ScheduleEngine::makespans_into`]: one shared
@@ -2893,21 +2930,81 @@ impl ScheduleEngine {
         let mut makespans = Vec::with_capacity(kinds.len());
         let mut logs = Vec::with_capacity(kinds.len());
         for &kind in kinds {
-            let ScheduleEngine { state, policies } = self;
-            let mut commits = Vec::new();
-            with_policy!(policies, kind, |p| {
-                state.run_logged::<_, true>(problem, p, &mut commits)
-            });
-            makespans.push(state.makespan_of_events(problem));
-            logs.push(CommitLog {
-                root: problem.root,
-                message: problem.message,
-                n: problem.num_clusters(),
-                kind,
-                commits,
-            });
+            logs.push(self.run_logged_prepared(problem, kind));
+            makespans.push(self.state.makespan_of_events(problem));
         }
         (makespans, logs)
+    }
+
+    /// The pricing pass of the predictive loop: one run per candidate gives
+    /// every makespan, the chosen slot and that slot's schedule events.
+    ///
+    /// A [`Candidates::Cold`] pass schedules every kind with commit logging
+    /// and returns the logs too; a [`Candidates::Warm`] pass replays every
+    /// baseline log under its delta. The chosen slot is `pin` when one is
+    /// given, else [`best_slot`] of the makespans. Its events are copied
+    /// from the pass as its run lands, so the winner is never scheduled a
+    /// second time. Every makespan and the events are bit-identical to a
+    /// cold [`ScheduleEngine::schedule`] of the slot's kind (the replay
+    /// contract of [`ScheduleEngine::reschedule_perturbed`]).
+    ///
+    /// # Panics
+    ///
+    /// With no candidates, or a pin outside them.
+    pub fn price(
+        &mut self,
+        problem: &BroadcastProblem,
+        candidates: Candidates<'_>,
+        pin: Option<usize>,
+    ) -> Priced {
+        let len = match candidates {
+            Candidates::Cold(kinds) => kinds.len(),
+            Candidates::Warm { logs, .. } => logs.len(),
+        };
+        assert!(len > 0, "a pricing pass needs at least one candidate");
+        assert!(pin.is_none_or(|p| p < len), "pinned slot {pin:?} of {len}");
+        let mut makespans = Vec::with_capacity(len);
+        let mut events = Vec::new();
+        // Keeps a run's events while its slot is the pin or the best so far.
+        let mut land = |makespan: Time, ran: &[ScheduleEvent]| {
+            let slot = makespans.len();
+            makespans.push(makespan);
+            if pin.map_or(best_slot(&makespans) == Some(slot), |p| p == slot) {
+                events.clear();
+                events.extend_from_slice(ran);
+            }
+        };
+        self.state.prepare_tx(problem);
+        let logs = match candidates {
+            Candidates::Cold(kinds) => Some(
+                kinds
+                    .iter()
+                    .map(|&kind| {
+                        let log = self.run_logged_prepared(problem, kind);
+                        land(self.state.makespan_of_events(problem), &self.state.events);
+                        log
+                    })
+                    .collect(),
+            ),
+            Candidates::Warm { logs, delta } => {
+                let ScheduleEngine { state, policies } = self;
+                for log in logs {
+                    with_policy!(policies, log.kind, |p| state
+                        .run_replay(problem, p, log, delta));
+                    land(state.makespan_of_events(problem), &state.events);
+                }
+                None
+            }
+        };
+        let slot = pin
+            .or_else(|| best_slot(&makespans))
+            .expect("a non-empty pass has a best slot");
+        Priced {
+            makespans,
+            slot,
+            events,
+            logs,
+        }
     }
 
     /// Warm-start what-if scheduling: re-derives `log`'s schedule under
@@ -2961,32 +3058,14 @@ impl ScheduleEngine {
         delta: &ReplayDelta,
         out: &mut Vec<Time>,
     ) {
-        self.warm_makespans_with(problem, logs, delta, out, |_, _, _| {});
-    }
-
-    /// [`ScheduleEngine::warm_makespans_into`] that also shows each replay's
-    /// result to `each` as it lands: `each(slot, makespan, events)` with the
-    /// index of the log in `logs`, its makespan and the replayed events. A
-    /// caller that wants one replay's schedule — the winner's — copies its
-    /// events here instead of replaying that log a second time.
-    pub fn warm_makespans_with(
-        &mut self,
-        problem: &BroadcastProblem,
-        logs: &[CommitLog],
-        delta: &ReplayDelta,
-        out: &mut Vec<Time>,
-        mut each: impl FnMut(usize, Time, &[ScheduleEvent]),
-    ) {
         out.clear();
         out.reserve(logs.len());
         self.state.prepare_tx(problem);
         let ScheduleEngine { state, policies } = self;
-        for (slot, log) in logs.iter().enumerate() {
+        for log in logs {
             with_policy!(policies, log.kind, |p| state
                 .run_replay(problem, p, log, delta));
-            let makespan = state.makespan_of_events(problem);
-            out.push(makespan);
-            each(slot, makespan, &state.events);
+            out.push(state.makespan_of_events(problem));
         }
     }
 
@@ -3474,6 +3553,58 @@ mod tests {
             let warm = engine.reschedule_perturbed(&perturbed, &log, &perturbations);
             assert_events_bit_identical(&warm.events, &cold.events, kind.name());
         }
+    }
+
+    /// The pricing pass hands over the chosen slot's events from its one run
+    /// per candidate: cold and warm, best and pinned, they equal a separate
+    /// cold schedule of the chosen kind, and the makespans equal the batched
+    /// ones.
+    #[test]
+    fn price_hands_over_the_chosen_slots_events() {
+        let grid = random_grid_for(23, 9);
+        let base = BroadcastProblem::from_grid(&grid, ClusterId(0), MessageSize::from_mib(1));
+        let chain = [Perturbation::DegradeSite {
+            first: ClusterId(4),
+            span: 3,
+            factor: 8.0,
+        }];
+        let perturbed = base.perturbed(&grid, &chain);
+        let delta = ReplayDelta::from_perturbations(grid.num_clusters(), &chain);
+        let kinds = HeuristicKind::all();
+        let mut engine = ScheduleEngine::new();
+        let (_, logs) = engine.makespans_logged(&base, &kinds);
+        let mut expected = Vec::new();
+        engine.makespans_into(&perturbed, &kinds, &mut expected);
+        let bits = |ts: &[Time]| -> Vec<u64> { ts.iter().map(|t| t.as_secs().to_bits()).collect() };
+        for pin in std::iter::once(None).chain((0..kinds.len()).map(Some)) {
+            let cold = engine.price(&perturbed, Candidates::Cold(&kinds), pin);
+            let warm = Candidates::Warm {
+                logs: &logs,
+                delta: &delta,
+            };
+            let warm = engine.price(&perturbed, warm, pin);
+            assert_eq!(Some(cold.slot), pin.or(best_slot(&expected)));
+            assert_eq!(cold.logs.as_ref().map(Vec::len), Some(kinds.len()));
+            assert!(warm.logs.is_none());
+            let schedule = engine.schedule(&perturbed, kinds[cold.slot]);
+            for (priced, what) in [(&cold, "cold"), (&warm, "warm")] {
+                assert_eq!(priced.slot, cold.slot, "{what} {pin:?}");
+                assert_eq!(bits(&priced.makespans), bits(&expected), "{what} {pin:?}");
+                assert_events_bit_identical(
+                    &priced.events,
+                    &schedule.events,
+                    &format!("{what} {pin:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn best_slot_breaks_ties_to_the_earlier_slot() {
+        let ms = Time::from_millis;
+        assert_eq!(best_slot(&[ms(3.0), ms(1.0), ms(1.0), ms(2.0)]), Some(1));
+        assert_eq!(best_slot(&[ms(2.0)]), Some(0));
+        assert_eq!(best_slot(&[]), None);
     }
 
     /// An unperturbed replay is a pure prefix replay: every commit verbatim,

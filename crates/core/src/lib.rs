@@ -68,9 +68,10 @@ pub mod schedule;
 pub mod state;
 
 pub use engine::{
-    CandidateTuple, CommitLog, EdgeCosts, EngineTelemetry, EngineView, ExchangeSchedule,
-    LoggedCommit, LookaheadWorkspace, Objective, ReplayTraits, ScheduleEngine, SelectionPolicy,
-    TieBreak, TimedTransfer, Transfer, TransferSet, DEFAULT_K_BEST,
+    best_slot, CandidateTuple, Candidates, CommitLog, EdgeCosts, EngineTelemetry, EngineView,
+    ExchangeSchedule, LoggedCommit, LookaheadWorkspace, Objective, Priced, ReplayTraits,
+    ScheduleEngine, SelectionPolicy, TieBreak, TimedTransfer, Transfer, TransferSet,
+    DEFAULT_K_BEST,
 };
 pub use global_minimum::{global_minimum, per_heuristic_makespans};
 pub use heuristics::{Heuristic, HeuristicKind};
@@ -82,7 +83,7 @@ pub use patterns::{
     RelayGatherSchedule, RelayOrdering, RelayScatterPolicy, RelayScatterProblem, RelaySchedule,
     ScatterOrdering, ScatterProblem, ScatterTailPolicy,
 };
-pub use perturb::{DeltaDirection, Perturbation, ReplayDelta, DROP_RELAY_FACTOR};
+pub use perturb::{warm_eligible, DeltaDirection, Perturbation, ReplayDelta, DROP_RELAY_FACTOR};
 pub use problem::BroadcastProblem;
 pub use schedule::{Schedule, ScheduleError, ScheduleEvent};
 pub use state::ScheduleState;

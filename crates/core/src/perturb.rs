@@ -25,6 +25,7 @@ use crate::BroadcastProblem;
 use gridcast_plogp::{PLogP, Time};
 use gridcast_topology::{ClusterId, Grid};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Gap scale applied by [`Perturbation::DropRelay`] to a cluster's outgoing
 /// links: large enough that no heuristic ever relays through the cluster
@@ -121,30 +122,52 @@ enum LinkSelector {
 }
 
 impl LinkSelector {
+    /// The sender rows of an `n`-cluster grid the selector touches, clamped
+    /// to the grid (a span running past the last cluster, or past
+    /// `usize::MAX`, ends at `n`). The one range both the link walk and the
+    /// [`ReplayDelta`] read, so a delta's dirty rows are exactly the rows a
+    /// patch scales.
+    fn rows(&self, n: usize) -> Range<usize> {
+        let (first, span) = match *self {
+            LinkSelector::All => (0, n),
+            LinkSelector::Rows { first, span } => (first.index(), span),
+            LinkSelector::One { from, to } => {
+                (from.index(), usize::from(from != to && to.index() < n))
+            }
+        };
+        first.min(n)..first.saturating_add(span).min(n)
+    }
+
     /// Calls `f` on every directed inter-cluster link of an `n`-cluster grid
     /// the selector touches, row-major — the one walk behind
     /// [`Perturbation::apply`], [`Perturbation::patch`] and
     /// [`BroadcastProblem::perturbed`]. The diagonal and out-of-range
     /// clusters are skipped.
     fn for_each_link(&self, n: usize, mut f: impl FnMut(ClusterId, ClusterId)) {
-        let rows = match *self {
-            LinkSelector::One { from, to } => {
-                if from != to && from.index() < n && to.index() < n {
-                    f(from, to);
-                }
-                return;
-            }
-            LinkSelector::Rows { first, span } => {
-                first.index()..first.index().saturating_add(span).min(n)
-            }
-            LinkSelector::All => 0..n,
-        };
-        for i in rows {
-            for j in (0..n).filter(|&j| j != i) {
-                f(ClusterId(i), ClusterId(j));
+        for i in self.rows(n) {
+            match *self {
+                LinkSelector::One { to, .. } => f(ClusterId(i), to),
+                _ => (0..n)
+                    .filter(|&j| j != i)
+                    .for_each(|j| f(ClusterId(i), ClusterId(j))),
             }
         }
     }
+}
+
+/// Whether a warm replay of baseline commit logs answers `chain`. Grid-wide
+/// scaling dirties every sender row *and* patches `O(n²)` links (the
+/// bookkeeping costs more than the replay saves), and a moved root makes
+/// every baseline log incompatible by construction, so a chain holding
+/// either runs cold. The what-if runner and the serving daemon both route
+/// by this rule.
+pub fn warm_eligible(chain: &[Perturbation]) -> bool {
+    !chain.iter().any(|p| {
+        matches!(
+            p,
+            Perturbation::ScaleAllLinks { .. } | Perturbation::AlternateRoot { .. }
+        )
+    })
 }
 
 impl Perturbation {
@@ -334,20 +357,7 @@ impl ReplayDelta {
             } else {
                 DeltaDirection::Improving
             });
-            match selector {
-                LinkSelector::All => dirty.iter_mut().for_each(|d| *d = true),
-                LinkSelector::Rows { first, span } => {
-                    let end = (first.index() + span).min(n);
-                    if first.index() < end {
-                        dirty[first.index()..end].fill(true);
-                    }
-                }
-                LinkSelector::One { from, .. } => {
-                    if from.index() < n {
-                        dirty[from.index()] = true;
-                    }
-                }
-            }
+            dirty[selector.rows(n)].fill(true);
         }
         let any_dirty = dirty.iter().any(|&d| d);
         ReplayDelta {
@@ -463,6 +473,64 @@ mod tests {
         );
         assert_eq!(delta.direction(), DeltaDirection::Mixed);
         assert!(delta.is_dirty(0) && delta.is_dirty(1));
+    }
+
+    #[test]
+    fn dirty_rows_are_the_rows_a_patch_scales() {
+        let grid = gridcast_topology::grid5000_table3();
+        let n = grid.num_clusters();
+        let c = ClusterId;
+        for p in [
+            // `first + span` overflows: the rows still run to the last one.
+            Perturbation::DegradeSite {
+                first: c(1),
+                span: usize::MAX,
+                factor: 8.0,
+            },
+            Perturbation::DegradeSite {
+                first: c(4),
+                span: 5,
+                factor: 2.0,
+            },
+            Perturbation::DegradeSite {
+                first: c(n),
+                span: 2,
+                factor: 2.0,
+            },
+            Perturbation::DegradeLink {
+                from: c(2),
+                to: c(3),
+                factor: 3.0,
+            },
+            Perturbation::DegradeLink {
+                from: c(2),
+                to: c(2),
+                factor: 3.0,
+            },
+            Perturbation::DegradeLink {
+                from: c(2),
+                to: c(n),
+                factor: 3.0,
+            },
+            Perturbation::DegradeUplink {
+                cluster: c(5),
+                factor: 0.5,
+            },
+            Perturbation::DropRelay { cluster: c(0) },
+            Perturbation::ScaleAllLinks { factor: 2.0 },
+            Perturbation::AlternateRoot { root: c(3) },
+        ] {
+            let mut touched = Vec::new();
+            p.patch(&mut grid.clone(), &mut touched);
+            let mut rows = vec![false; n];
+            for (from, _) in touched {
+                rows[from.index()] = true;
+            }
+            let delta = ReplayDelta::from_perturbations(n, &[p]);
+            let dirty: Vec<bool> = (0..n).map(|i| delta.is_dirty(i)).collect();
+            assert_eq!(dirty, rows, "{p:?}");
+            assert_eq!(delta.any_dirty(), rows.contains(&true), "{p:?}");
+        }
     }
 
     #[test]

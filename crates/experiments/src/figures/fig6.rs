@@ -4,7 +4,6 @@
 use crate::figures::fig5::{heuristics, message_sizes};
 use crate::params::ExperimentConfig;
 use crate::report::{FigureResult, Series};
-use gridcast_plogp::MessageSize;
 use gridcast_simulator::Simulator;
 use gridcast_topology::{grid5000_table3, ClusterId};
 
@@ -45,31 +44,32 @@ pub fn run(_config: &ExperimentConfig) -> FigureResult {
     figure
 }
 
-/// Convenience: the measured-vs-predicted relative error per heuristic at one
-/// message size, used by EXPERIMENTS.md and the ablation benches to quantify the
-/// paper's "predictions fit with a good precision the practical results" claim.
-pub fn prediction_error_at(m: MessageSize) -> Vec<(String, f64)> {
-    let grid = grid5000_table3();
-    let root = ClusterId(0);
-    let sim = Simulator::new(&grid, m);
-    heuristics()
-        .into_iter()
-        .map(|kind| {
-            let predicted = sim.predict_heuristic(kind, root).as_secs();
-            let measured = sim.run_heuristic(kind, root).1.completion.as_secs();
-            let rel = if measured > 0.0 {
-                (predicted - measured).abs() / measured
-            } else {
-                0.0
-            };
-            (kind.name().to_string(), rel)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridcast_plogp::MessageSize;
+
+    /// The measured-vs-predicted relative error per heuristic at one message
+    /// size: the paper's "predictions fit with a good precision the practical
+    /// results" claim, quantified.
+    fn prediction_error_at(m: MessageSize) -> Vec<(String, f64)> {
+        let grid = grid5000_table3();
+        let root = ClusterId(0);
+        let sim = Simulator::new(&grid, m);
+        heuristics()
+            .into_iter()
+            .map(|kind| {
+                let predicted = sim.predict_heuristic(kind, root).as_secs();
+                let measured = sim.run_heuristic(kind, root).1.completion.as_secs();
+                let rel = if measured > 0.0 {
+                    (predicted - measured).abs() / measured
+                } else {
+                    0.0
+                };
+                (kind.name().to_string(), rel)
+            })
+            .collect()
+    }
 
     #[test]
     fn measured_ordering_matches_the_paper() {

@@ -20,7 +20,6 @@
 
 use crate::params::ExperimentConfig;
 use crate::report::{FigureResult, Series};
-use gridcast_core::ScheduleEngine;
 use gridcast_plogp::MessageSize;
 use gridcast_simulator::{Perturbation, Scenario, WhatIfRunner};
 use gridcast_topology::{grid5000_table3, ClusterId};
@@ -40,7 +39,9 @@ pub fn run(_config: &ExperimentConfig) -> FigureResult {
 pub fn degradation_sweep(title: &str, factors: &[f64]) -> FigureResult {
     let grid = grid5000_table3();
     let root = ClusterId(0);
-    let runner = WhatIfRunner::new(&grid, MessageSize::from_mib(1), root);
+    // The figure is tiny (a handful of scenarios): one worker runs them on
+    // the calling thread.
+    let runner = WhatIfRunner::new(&grid, MessageSize::from_mib(1), root).with_threads(1);
     let scenarios: Vec<Scenario> = factors
         .iter()
         .map(|&factor| {
@@ -54,15 +55,7 @@ pub fn degradation_sweep(title: &str, factors: &[f64]) -> FigureResult {
             }
         })
         .collect();
-    // The figure is tiny (a handful of scenarios); evaluate sequentially with
-    // one warm engine — the worker pool is for the thousand-scenario sweeps.
-    let mut engine = ScheduleEngine::new();
-    let mut makespans = Vec::new();
-    let reports: Vec<_> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, s)| runner.evaluate(&mut engine, &mut makespans, i, s))
-        .collect();
+    let reports = runner.run(&scenarios);
 
     let mut figure = FigureResult::new(title, "root uplink gap factor", "completion time (s)");
     for (slot, kind) in runner.kinds().iter().enumerate() {

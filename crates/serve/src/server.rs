@@ -36,10 +36,12 @@
 //!    [`pool::run_ordered`]: each engine claims the next job when it finishes
 //!    one, and the results come back in job order, so the response stream is
 //!    bit-identical for any worker count. With one worker engine, or one
-//!    job, the batch runs inline on the calling thread. A job schedules once: a
-//!    cold job takes the winner's events from the commit log of the pass
-//!    that priced all seven heuristics, and a warm job keeps the winning
-//!    replay's events from its seven-log pass.
+//!    job, the batch runs inline on the calling thread. A job schedules once:
+//!    one [`ScheduleEngine::price`] pass prices all seven heuristics — cold,
+//!    or replaying its base's seven commit logs when warm — picks the pinned
+//!    or best slot with the what-if runner's tie-break
+//!    ([`gridcast_core::best_slot`]) and keeps that slot's events, which the
+//!    job executes when its request asks to.
 //! 5. **Merge + render** — every waiting line is rendered, then the job
 //!    results are moved into the cache in request order, a new entry
 //!    carrying its request's key; every line gets exactly one response line.
@@ -48,8 +50,8 @@ use crate::cache::{CacheEntry, CacheOutcome, GridKey, RequestKey, ScheduleCache,
 use crate::stats::ServerStats;
 use crate::wire::{self, GridSpec, OkResponse, Request, RequestLine};
 use gridcast_core::{
-    pool, BroadcastProblem, CommitLog, HeuristicKind, Perturbation, ReplayDelta, ScheduleEngine,
-    ScheduleEvent,
+    best_slot, pool, warm_eligible, BroadcastProblem, Candidates, CommitLog, HeuristicKind,
+    Perturbation, Priced, ReplayDelta, ScheduleEngine,
 };
 use gridcast_plogp::Time;
 use gridcast_simulator::{execute_plan_with_sink, NodeNetwork, NullSink, SendPlan};
@@ -246,18 +248,6 @@ fn validate_against_grid(req: &Request, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The warm path only pays off when the perturbation leaves most commit
-/// rows intact; mirrors the what-if runner's eligibility rule.
-fn warm_eligible(perturbations: &[Perturbation]) -> bool {
-    !perturbations.is_empty()
-        && perturbations.iter().all(|p| {
-            !matches!(
-                p,
-                Perturbation::ScaleAllLinks { .. } | Perturbation::AlternateRoot { .. }
-            )
-        })
-}
-
 /// The grid `chain` makes of `base` and the root it leaves, applied left to
 /// right; `base` itself (shared, not copied) when no link changes.
 fn perturbed_grid(
@@ -275,15 +265,6 @@ fn perturbed_grid(
     (grid, root)
 }
 
-fn best_slot(makespans: &[Time]) -> usize {
-    makespans
-        .iter()
-        .enumerate()
-        .min_by(|(i, a), (j, b)| a.cmp(b).then(i.cmp(j)))
-        .map(|(i, _)| i)
-        .expect("the engine always evaluates all seven heuristics")
-}
-
 /// What a request gets from the cached entry of its exact problem.
 enum Stored {
     /// The answer the entry holds, rendered.
@@ -298,7 +279,9 @@ enum Stored {
 }
 
 fn stored_answer(entry: &CacheEntry, req: &Request, slot_pin: Option<usize>) -> Stored {
-    let slot = slot_pin.unwrap_or_else(|| best_slot(&entry.makespans));
+    let slot = slot_pin
+        .or_else(|| best_slot(&entry.makespans))
+        .expect("an entry holds all seven makespans");
     match &entry.records[slot] {
         Some(record) if !req.execute || record.simulated.is_some() => {
             Stored::Hit(wire::render_ok(&OkResponse {
@@ -343,10 +326,7 @@ struct Job {
 }
 
 struct JobOutput {
-    makespans: Vec<Time>,
-    logs: Option<Vec<CommitLog>>,
-    slot: usize,
-    events: Vec<ScheduleEvent>,
+    priced: Priced,
     simulated: Option<(Time, usize)>,
 }
 
@@ -354,44 +334,18 @@ struct JobOutput {
 /// the pass that priced every heuristic, never from scheduling the winner
 /// again.
 fn run_job(engine: &mut ScheduleEngine, job: &Job) -> JobOutput {
-    let (makespans, logs, slot, events) = match &job.warm {
-        Some(warm) => {
-            // Keep the replay that `best_slot` (or the pin) will choose: the
-            // first strictly smaller makespan wins, so ties go to the earlier
-            // slot.
-            let mut makespans = Vec::new();
-            let mut events = Vec::new();
-            let mut best: Option<(usize, Time)> = None;
-            engine.warm_makespans_with(
-                &job.problem,
-                &warm.logs,
-                &warm.delta,
-                &mut makespans,
-                |slot, makespan, replayed| {
-                    let keep = match job.slot_pin {
-                        Some(pin) => slot == pin,
-                        None => best.is_none_or(|(_, b)| makespan < b),
-                    };
-                    if keep {
-                        best = Some((slot, makespan));
-                        events.clear();
-                        events.extend_from_slice(replayed);
-                    }
-                },
-            );
-            let (slot, _) = best.expect("the pinned or best slot was replayed");
-            (makespans, None, slot, events)
-        }
-        None => {
-            let (makespans, logs) = engine.makespans_logged(&job.problem, &HeuristicKind::all());
-            let slot = job.slot_pin.unwrap_or_else(|| best_slot(&makespans));
-            let events = logs[slot].events().collect();
-            (makespans, Some(logs), slot, events)
-        }
+    let kinds = HeuristicKind::all();
+    let candidates = match &job.warm {
+        Some(warm) => Candidates::Warm {
+            logs: &warm.logs,
+            delta: &warm.delta,
+        },
+        None => Candidates::Cold(&kinds),
     };
+    let priced = engine.price(&job.problem, candidates, job.slot_pin);
     let simulated = job.execute.as_ref().map(|grid| {
         let network = NodeNetwork::new(grid);
-        let plan = SendPlan::from_inter_cluster_events(grid, job.problem.root, &events);
+        let plan = SendPlan::from_inter_cluster_events(grid, job.problem.root, &priced.events);
         let outcome = execute_plan_with_sink(
             &network,
             &plan,
@@ -401,13 +355,7 @@ fn run_job(engine: &mut ScheduleEngine, job: &Job) -> JobOutput {
         );
         (outcome.completion, outcome.events_processed)
     });
-    JobOutput {
-        makespans,
-        logs,
-        slot,
-        events,
-        simulated,
-    }
+    JobOutput { priced, simulated }
 }
 
 /// What a request line is waiting on after classification.
@@ -719,7 +667,8 @@ impl Server {
         base_grid: &Arc<Grid>,
         key: Option<&RequestKey>,
     ) -> (BroadcastProblem, Option<Base>, Option<Arc<Grid>>) {
-        if !warm_eligible(&req.perturbations) {
+        // An empty chain is its own base: nothing to patch or warm-start.
+        if req.perturbations.is_empty() || !warm_eligible(&req.perturbations) {
             let (grid, root) = perturbed_grid(base_grid, req.root, &req.perturbations);
             let problem = BroadcastProblem::from_grid(&grid, root, req.payload);
             return (problem, None, Some(grid));
@@ -789,15 +738,15 @@ impl Server {
                 outcome,
             } = p
             {
-                let output = &outputs[*job];
+                let JobOutput { priced, simulated } = &outputs[*job];
                 self.stats.ok += 1;
                 let line = wire::render_ok(&OkResponse {
                     id: *id,
-                    heuristic: HeuristicKind::all()[output.slot].name(),
-                    predicted: output.makespans[output.slot],
+                    heuristic: HeuristicKind::all()[priced.slot].name(),
+                    predicted: priced.makespans[priced.slot],
                     cache: outcome.label(),
-                    schedule: include_schedule.then(|| output.events.clone()),
-                    simulated: output.simulated,
+                    schedule: include_schedule.then(|| priced.events.clone()),
+                    simulated: *simulated,
                 });
                 *p = Pending::Ready(line);
             }
@@ -805,17 +754,17 @@ impl Server {
 
         // Merge into the cache in request order, moving each job's problem,
         // logs and events into its entry.
-        for (job, output) in jobs.into_iter().zip(outputs) {
+        for (job, JobOutput { priced, simulated }) in jobs.into_iter().zip(outputs) {
             let record = ScheduleRecord {
-                events: output.events,
-                simulated: output.simulated,
+                events: priced.events,
+                simulated,
             };
             match self.cache.get_mut(job.digest, &job.problem) {
-                Some(entry) => entry.records[output.slot] = Some(record),
+                Some(entry) => entry.records[priced.slot] = Some(record),
                 None => {
-                    let logs = output.logs.map(Arc::new);
-                    let mut entry = CacheEntry::new(job.problem, output.makespans, logs);
-                    entry.records[output.slot] = Some(record);
+                    let logs = priced.logs.map(Arc::new);
+                    let mut entry = CacheEntry::new(job.problem, priced.makespans, logs);
+                    entry.records[priced.slot] = Some(record);
                     self.cache.insert_keyed(job.digest, job.key, entry);
                 }
             }

@@ -1,10 +1,11 @@
 //! End-to-end tests of the serving daemon: golden transcripts, worker-count
 //! bit-identity, cache/warm-start consistency and graceful rejection.
 
-use gridcast_core::BroadcastProblem;
+use gridcast_core::{warm_eligible, BroadcastProblem, Perturbation};
 use gridcast_plogp::MessageSize;
 use gridcast_serve::wire::MAX_PERTURBATIONS;
 use gridcast_serve::{Server, ServerConfig};
+use gridcast_simulator::{Scenario, WhatIfRunner};
 use gridcast_topology::{ClusterId, GridGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -153,6 +154,87 @@ fn warm_start_response_is_bit_identical_to_a_cold_run() {
     assert!(cold.contains(r#""cache":"cold""#));
 
     assert_eq!(warm, cold.replace(r#""cache":"cold""#, r#""cache":"warm""#));
+}
+
+/// The daemon and the what-if runner share one pricing pass (tie-break and
+/// winner's events) and one node-level execution: for every perturbation
+/// kind the wire accepts, a daemon answer with `"execute":true`, cold or
+/// warm from a cached base, names the runner's winner with the runner's
+/// predicted and simulated bits.
+#[test]
+fn the_daemon_and_the_what_if_runner_answer_alike() {
+    const GRID: &str = r#""grid":{"table2":{"clusters":12,"seed":5,"cluster_size":4}}"#;
+    let grid = GridGenerator::table2()
+        .cluster_size(4)
+        .generate(12, &mut ChaCha8Rng::seed_from_u64(5));
+    let c = ClusterId;
+    let chains = [
+        (
+            r#"{"kind":"degrade_link","from":0,"to":3,"factor":4.0}"#,
+            Perturbation::DegradeLink {
+                from: c(0),
+                to: c(3),
+                factor: 4.0,
+            },
+        ),
+        (
+            r#"{"kind":"degrade_uplink","cluster":2,"factor":3.0}"#,
+            Perturbation::DegradeUplink {
+                cluster: c(2),
+                factor: 3.0,
+            },
+        ),
+        (
+            r#"{"kind":"degrade_site","first":4,"span":3,"factor":2.5}"#,
+            Perturbation::DegradeSite {
+                first: c(4),
+                span: 3,
+                factor: 2.5,
+            },
+        ),
+        (
+            r#"{"kind":"drop_relay","cluster":1}"#,
+            Perturbation::DropRelay { cluster: c(1) },
+        ),
+        (
+            r#"{"kind":"scale_all_links","factor":0.5}"#,
+            Perturbation::ScaleAllLinks { factor: 0.5 },
+        ),
+        (
+            r#"{"kind":"alternate_root","root":5}"#,
+            Perturbation::AlternateRoot { root: c(5) },
+        ),
+    ];
+    let scenarios: Vec<Scenario> = chains.iter().map(|&(_, p)| Scenario::one(p)).collect();
+    let runner = WhatIfRunner::new(&grid, MessageSize::from_mib(1), c(0)).with_threads(1);
+    let cold_reports = runner.clone().run(&scenarios);
+    let warm_reports = runner.with_warm_start(true).run(&scenarios);
+    let base = format!(r#"{{{GRID},"root":0}}"#);
+    for (i, (json, p)) in chains.iter().enumerate() {
+        let line = format!(r#"{{{GRID},"root":0,"perturbations":[{json}],"execute":true}}"#);
+        let cold = one(&mut Server::new(config(1)), &line);
+        let mut warm_server = Server::new(config(1));
+        one(&mut warm_server, &base);
+        let warm = one(&mut warm_server, &line);
+        let label = if warm_eligible(&[*p]) { "warm" } else { "cold" };
+        for (response, expected) in [(&cold, "cold"), (&warm, label)] {
+            let doc: Value = serde_json::from_str(response).unwrap();
+            assert_eq!(doc.field("cache"), Some(&Value::Str(expected.into())));
+            let bits = |name: &str| match doc.field(name) {
+                Some(&Value::F64(secs)) => secs.to_bits(),
+                other => panic!("{json}: `{name}` is {other:?}"),
+            };
+            for report in [&cold_reports[i], &warm_reports[i]] {
+                assert_eq!(
+                    doc.field("heuristic"),
+                    Some(&Value::Str(report.best.name().into())),
+                    "{json}: {response}"
+                );
+                assert_eq!(bits("predicted_secs"), report.predicted.as_secs().to_bits());
+                assert_eq!(bits("simulated_secs"), report.simulated.as_secs().to_bits());
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! arithmetic ever produced a corrupted time. The invariant is now checked on
 //! every push, in every build profile, and the fallible entry points
 //! ([`try_execute_plan_with_sink`](crate::engine::try_execute_plan_with_sink),
-//! [`try_execute_sized_plan_with_sink`](crate::engine::try_execute_sized_plan_with_sink),
+//! [`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink),
 //! [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults))
 //! surface a violation as a structured [`SimError`] instead of corrupting the
 //! run. The same error path carries [`TraceSink`](crate::TraceSink) writer
@@ -14,7 +14,10 @@
 use gridcast_plogp::Time;
 use std::fmt;
 
-/// An error surfaced by the fallible simulator entry points.
+/// An error surfaced by the fallible executors: the run itself went wrong
+/// (a clock regression) or its trace could not be written. A what-if sweep
+/// has no error of its own: its runner refuses an empty candidate set when
+/// it is configured.
 #[derive(Debug)]
 pub enum SimError {
     /// An event was scheduled before the current simulated time (or at a NaN
@@ -30,12 +33,6 @@ pub enum SimError {
     /// The trace sink's writer failed; the first I/O error is carried here
     /// (see [`TraceSink::take_error`](crate::TraceSink::take_error)).
     Trace(std::io::Error),
-    /// A what-if evaluation had an empty candidate set to pick a winner from
-    /// (no heuristics configured), so "the best makespan" does not exist.
-    /// Surfaced by the fallible runner entry points
-    /// ([`WhatIfRunner::try_run`](crate::WhatIfRunner::try_run) and friends)
-    /// instead of the `min().unwrap()` panic this class of bug used to be.
-    NoCandidates,
 }
 
 impl fmt::Display for SimError {
@@ -47,11 +44,6 @@ impl fmt::Display for SimError {
                  the clock never runs backwards"
             ),
             SimError::Trace(e) => write!(f, "trace sink write failed: {e}"),
-            SimError::NoCandidates => write!(
-                f,
-                "no candidate heuristics to choose a winner from — the evaluation \
-                 needs at least one"
-            ),
         }
     }
 }
@@ -59,7 +51,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimError::ClockRegression { .. } | SimError::NoCandidates => None,
+            SimError::ClockRegression { .. } => None,
             SimError::Trace(e) => Some(e),
         }
     }
@@ -78,13 +70,6 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("1.000ms"));
         assert!(text.contains("2.000ms"));
-    }
-
-    #[test]
-    fn no_candidates_is_self_explanatory() {
-        let e = SimError::NoCandidates;
-        assert!(e.to_string().contains("no candidate heuristics"));
-        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //!   order to a caller-chosen [`TraceSink`] (drop, count, stream, or retain),
 //! * **what-if sweeps** ([`whatif`]) evaluate thousands of perturbed
 //!   scenarios — scaled links, degraded uplinks, alternate roots, dropped
-//!   relays — against one shared read-only grid on a scoped worker pool,
-//!   bit-identically for any thread count,
+//!   relays — against one shared read-only grid on the ordered
+//!   work-claiming pool `gridcast_core::pool::run_ordered`, bit-identically
+//!   for any thread count,
 //! * **faults are first-class events** ([`faults`]): a seeded [`FaultPlan`]
 //!   injects deterministic message loss, duplication, extra delay, link
 //!   flaps and node crashes; [`execute_plan_under_faults`] runs plans with
@@ -44,8 +45,8 @@
 //!
 //! The simulated times differ from the paper's absolute measurements (different
 //! hardware, different MPI), but the relative behaviour of the heuristics — who
-//! wins, by roughly what factor — is preserved, which is what EXPERIMENTS.md
-//! tracks.
+//! wins, by roughly what factor — is preserved, which is what the Figure 6
+//! reproduction (`gridcast-experiments`, `--bin fig6`) checks.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -63,7 +64,6 @@ pub mod whatif;
 
 pub use engine::{
     execute_plan_with_sink, execute_sized_plan_with_sink, try_execute_plan_with_sink,
-    try_execute_sized_plan_with_sink,
 };
 pub use error::SimError;
 pub use faults::{

@@ -26,7 +26,8 @@ pub struct NodeNetwork {
 /// (that is what the measured pLogP gap captures), while the physical path has
 /// several times that capacity — so a handful of concurrent site-to-site
 /// transfers proceed unhindered and only larger fan-ins contend. This is the one
-/// free parameter of the testbed substitution; EXPERIMENTS.md records its value.
+/// free parameter of the testbed substitution, and this constant is its only
+/// record.
 pub const DEFAULT_WAN_CONCURRENCY: usize = 4;
 
 impl NodeNetwork {

@@ -168,8 +168,9 @@ impl TraceSink for Vec<TraceEvent> {
 /// the fallible entry points
 /// ([`try_execute_plan_with_sink`](crate::engine::try_execute_plan_with_sink)
 /// and friends) call [`TraceSink::take_error`] after the drain and return
-/// [`SimError::Trace`](crate::SimError::Trace). The infallible executors still
-/// never fail because of a trace sink; with those, check `finish()`.
+/// [`SimError::Trace`](crate::SimError::Trace). The infallible
+/// [`execute_plan_with_sink`](crate::engine::execute_plan_with_sink) never
+/// fails because of a trace sink; with it, check `finish()`.
 #[derive(Debug)]
 pub struct StreamingSink<W: Write> {
     writer: W,

@@ -313,9 +313,9 @@ proptest! {
         let schedule = problem.schedule(RelayOrdering::EarliestCompletion);
         let sized = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
         let mut sized_retained: Vec<TraceEvent> = Vec::new();
-        let a = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_retained);
+        let a = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_retained).unwrap();
         let mut sized_streaming = StreamingSink::new(Vec::new());
-        let b = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_streaming);
+        let b = execute_sized_plan_with_sink(&network, &sized, Time::ZERO, &mut sized_streaming).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert!(sized_retained.windows(2).all(|w| w[0].time <= w[1].time));
         let text = String::from_utf8(sized_streaming.finish().unwrap()).unwrap();
@@ -465,7 +465,8 @@ fn simulator_reproduces_engine_gather_and_allgather_makespans_exactly_on_uniform
                 let schedule = problem.schedule(ordering);
                 let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
                 let outcome =
-                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink)
+                        .unwrap();
                 assert!(
                     outcome.completion.approx_eq(schedule.makespan(), eps),
                     "{name} gather {ordering:?} @ {kib} KiB: simulated {} vs engine {}",
@@ -475,7 +476,8 @@ fn simulator_reproduces_engine_gather_and_allgather_makespans_exactly_on_uniform
             }
             let allgather = allgather_schedule(&grid, per_node);
             let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+            let outcome =
+                execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink).unwrap();
             assert!(
                 outcome.completion.approx_eq(allgather.makespan(), eps),
                 "{name} allgather @ {kib} KiB: simulated {} vs engine {}",
@@ -508,7 +510,8 @@ fn simulator_conformance_on_grid5000_is_within_the_documented_tolerance() {
             let problem = RelayGatherProblem::from_grid(&grid, ClusterId(0), per_node);
             let schedule = problem.schedule(ordering);
             let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
-            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+            let outcome =
+                execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink).unwrap();
             let engine = schedule.makespan();
             assert!(
                 outcome.completion + eps >= engine,
@@ -525,7 +528,8 @@ fn simulator_conformance_on_grid5000_is_within_the_documented_tolerance() {
         }
         let allgather = allgather_schedule(&grid, per_node);
         let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-        let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+        let outcome =
+            execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink).unwrap();
         assert!(outcome.completion + eps >= allgather.makespan());
         assert!(outcome.completion <= allgather.makespan() * 1.05);
     }
@@ -550,7 +554,8 @@ fn simulator_conformance_is_bounded_on_asymmetric_grids() {
                 let schedule = problem.schedule(ordering);
                 let plan = SizedSendPlan::from_gather_schedule(&grid, &schedule, per_node);
                 let outcome =
-                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+                    execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink)
+                        .unwrap();
                 let engine = schedule.makespan();
                 assert!(
                     outcome.completion + eps >= engine,
@@ -567,7 +572,8 @@ fn simulator_conformance_is_bounded_on_asymmetric_grids() {
             }
             let allgather = allgather_schedule(&grid, per_node);
             let plan = SizedSendPlan::from_allgather_schedule(&grid, &allgather, per_node);
-            let outcome = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink);
+            let outcome =
+                execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut NullSink).unwrap();
             assert!(outcome.completion + eps >= allgather.makespan());
             assert!(outcome.completion <= allgather.makespan() * 1.25);
         }
