@@ -46,17 +46,38 @@
 //! and leaves with an exact rebuilt row and floor.
 //!
 //! Policies whose scores do not depend on ready times (Flat Tree, FEF) declare
-//! [`SelectionPolicy::sender_time_sensitive`] `false` and never trigger
-//! repairs. Together with the shared sorted-lookahead rows of
-//! [`LookaheadWorkspace`] this brings a full schedule to `O(n² log n)` from the
-//! seed's `O(n³)` (and worse with lookahead), with the rescan term — the
-//! remaining super-quadratic contribution — amortised away by the runner-up
-//! repairs and the pruned walk. `tests/rescan_regression.rs` pins their exact
-//! counts on seeded Table-2 grids: at the default width the runners-up repair
-//! ~59% of invalidations at 100 clusters and ~46% at 1000, where the walk
-//! examines 4.9 M senders per seven-heuristic batch. The end-to-end timings
-//! of that batch are perfbench's `batch_1000` workload, and
-//! `BENCH_ablation.json` records its interleaved A/B runs.
+//! [`SelectionPolicy::sender_time_sensitive`] `false`. Nothing ever
+//! invalidates their heads, so the engine keeps only each receiver's head for
+//! them: an offer replaces it or leaves, and no runner-up, floor or gate is
+//! maintained. With the ECEF lookaheads served from a dense per-receiver bias
+//! cache this brings a full schedule to `O(n² log n)` from the seed's `O(n³)`
+//! (and worse with lookahead), with the rescan term — the remaining
+//! super-quadratic contribution — amortised away by the runner-up repairs and
+//! the pruned walk. `tests/rescan_regression.rs` pins their exact counts on
+//! seeded Table-2 grids: at the default width the runners-up repair ~59% of
+//! invalidations at 100 clusters and ~46% at 1000, where the walk examines
+//! 4.9 M senders per seven-heuristic batch. The end-to-end timings of that
+//! batch are perfbench's `batch_1000` workload, and `BENCH_ablation.json`
+//! records its interleaved A/B runs.
+//!
+//! ## Float-first comparisons
+//!
+//! Nearly every step of the round loop is one comparison: a walked sender
+//! against the retirement bound and the provisional floor, an offer against
+//! the gate, a candidate against the round's incumbent. That comparison, not
+//! memory traffic, is what the 1000-cluster batch spends its time on, so each
+//! one is decided on native floats. [`Time`]'s order answers with one IEEE
+//! `<` or `>` whenever two values differ and falls back to `total_cmp` only
+//! on equal floats, `±0` or NaN. On top of that, the two loops that reject
+//! nearly everything they see — the offer gate and the walk's top-`K+1`
+//! insert — and the head-only offers of time-insensitive policies drop a
+//! candidate whose score is strictly worse as a plain float before any
+//! `(score, id)` tuple is compared. Strictly worse as floats implies strictly
+//! worse in the total order, so every decision is the one the exact tuple
+//! order makes, for every bit pattern; ties still go through the tuple order,
+//! which the tie-heavy parity proptest exercises. The same reject in the
+//! selection scan and the repair bubble did not measurably pay on top of the
+//! float-first order, so those compare tuples directly.
 //!
 //! All engine buffers are reused across rounds, heuristics and problems: after
 //! warm-up, a call to [`ScheduleEngine::makespan`] performs **zero heap
@@ -242,141 +263,6 @@ pub enum TieBreak {
     /// Prefer the smallest sender id, then the smallest receiver id (FEF's
     /// sender-outer/receiver-inner loop).
     SenderThenReceiver,
-}
-
-/// Number of entries each lookahead row sorts eagerly; the rest of the row is
-/// only partitioned (everything behind the prefix is known to sort after it)
-/// and gets sorted lazily, in geometrically growing chunks, iff a cursor ever
-/// walks that deep. See [`LookaheadWorkspace::build_rows`].
-const LOOKAHEAD_SORT_PREFIX: usize = 32;
-
-/// Flat, cache-friendly per-receiver candidate rows with monotone cursors,
-/// owned by the engine and shared by every [`SelectionPolicy`].
-///
-/// The ECEF lookahead variants need, per receiver `j`, the remaining cluster
-/// minimising (or maximising) a static key `g_jk + L_jk (+ T_k)`. Each policy
-/// used to carry its own `n × n` row matrix; the engine now owns a single flat
-/// buffer that the active policy rebuilds at [`SelectionPolicy::reset`] — one
-/// allocation reused across all heuristics, problems and rounds. Row `j`
-/// occupies `rows[j·n .. (j+1)·n]` ordered by the policy's key; because set B
-/// only ever shrinks, a per-receiver cursor that skips departed clusters
-/// serves each lookup in amortised `O(1)`.
-///
-/// Rows are **partially sorted**: a build fully sorts only the first
-/// `LOOKAHEAD_SORT_PREFIX` entries of each row (after an `O(n)` partition
-/// guaranteeing everything behind the prefix sorts after it) and
-/// [`LookaheadWorkspace::first_alive`] extends the sorted region on demand,
-/// doubling it whenever a cursor reaches its end. Most cursors never leave
-/// the prefix — a receiver's cursor only advances past *departed* clusters,
-/// and the expected first-alive depth with `k` clusters remaining is `n/k`,
-/// so the summed depth over a whole schedule is `O(n log n)` — which turns
-/// the build from `n` full sorts (`O(n² log n)`, the single largest cost of a
-/// large lookahead run) into `O(n²)` with a small constant. The comparator
-/// totally orders entries (key ties break on cluster id), so the lazily
-/// extended order is unique: every sequence of `first_alive` calls sees
-/// exactly what the eager full sort produced, byte for byte.
-#[derive(Debug, Default)]
-pub struct LookaheadWorkspace {
-    /// `(key, id)` pairs; per row, `sorted_len` leading entries are sorted,
-    /// the rest partitioned behind them in arbitrary order.
-    rows: Vec<(Time, u32)>,
-    sorted_len: Vec<u32>,
-    cursor: Vec<u32>,
-    stride: usize,
-    descending: bool,
-}
-
-impl LookaheadWorkspace {
-    /// Rebuilds the rows for an `n`-cluster problem: row `j` holds every
-    /// cluster id ordered by `key(j, k)` — ascending, or descending when
-    /// `descending` — with ties broken by cluster id for determinism. Only a
-    /// short prefix of each row is sorted eagerly; see the type docs.
-    pub fn build_rows(
-        &mut self,
-        n: usize,
-        descending: bool,
-        mut key: impl FnMut(usize, usize) -> Time,
-    ) {
-        self.stride = n;
-        self.descending = descending;
-        self.rows.clear();
-        self.rows.reserve(n * n);
-        self.cursor.clear();
-        self.cursor.resize(n, 0);
-        self.sorted_len.clear();
-        self.sorted_len.resize(n, 0);
-        for j in 0..n {
-            let base = self.rows.len();
-            for k in 0..n {
-                self.rows.push((key(j, k), k as u32));
-            }
-            let row = &mut self.rows[base..];
-            self.sorted_len[j] =
-                Self::extend_sorted(row, 0, LOOKAHEAD_SORT_PREFIX, descending) as u32;
-        }
-    }
-
-    /// Grows the sorted region of `row` from `sorted` entries to `new_len`
-    /// (clamped to the row length), preserving the partition invariant:
-    /// everything behind the sorted region compares after it. Returns the new
-    /// sorted length.
-    fn extend_sorted(
-        row: &mut [(Time, u32)],
-        sorted: usize,
-        new_len: usize,
-        descending: bool,
-    ) -> usize {
-        let new_len = new_len.min(row.len());
-        if new_len <= sorted {
-            return sorted;
-        }
-        let tail = &mut row[sorted..];
-        let take = new_len - sorted;
-        if descending {
-            let cmp = |a: &(Time, u32), b: &(Time, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
-            if take < tail.len() {
-                tail.select_nth_unstable_by(take - 1, cmp);
-            }
-            tail[..take].sort_unstable_by(cmp);
-        } else {
-            if take < tail.len() {
-                tail.select_nth_unstable(take - 1);
-            }
-            tail[..take].sort_unstable();
-        }
-        new_len
-    }
-
-    /// First entry of row `j` for which `alive` holds, advancing the cursor
-    /// permanently past rejected entries (callers must only reject entries
-    /// that can never become alive again — set B only shrinks). Extends the
-    /// row's sorted region on demand when the cursor outruns it.
-    #[inline]
-    pub fn first_alive(&mut self, j: usize, mut alive: impl FnMut(usize) -> bool) -> Option<usize> {
-        let n = self.stride;
-        let row = &mut self.rows[j * n..(j + 1) * n];
-        let cursor = &mut self.cursor[j];
-        let mut sorted = self.sorted_len[j] as usize;
-        loop {
-            while (*cursor as usize) < sorted {
-                let k = row[*cursor as usize].1 as usize;
-                if alive(k) {
-                    return Some(k);
-                }
-                *cursor += 1;
-            }
-            if sorted >= n {
-                return None;
-            }
-            sorted = Self::extend_sorted(
-                row,
-                sorted,
-                (sorted * 2).max(LOOKAHEAD_SORT_PREFIX),
-                self.descending,
-            );
-            self.sorted_len[j] = sorted as u32;
-        }
-    }
 }
 
 /// Per-edge payload sizes and transfer costs, overriding the uniform-message
@@ -851,14 +737,12 @@ pub trait SelectionPolicy: Send {
     /// Display name recorded in produced [`Schedule`]s.
     fn name(&self) -> &str;
 
-    /// Called once before each schedule; (re)build per-problem state. Policies
-    /// that need per-receiver sorted candidate rows build them into the
-    /// engine-owned `workspace` instead of carrying their own buffers, keying
-    /// them off [`EngineView::transfer`] — the engine's prebuilt flat cost
-    /// matrix, which also means lookahead keys see per-edge payload prices on
-    /// the costed path instead of the problem's uniform matrices.
-    fn reset(&mut self, view: &EngineView<'_>, workspace: &mut LookaheadWorkspace) {
-        let _ = (view, workspace);
+    /// Called once before each schedule; (re)build per-problem state. Costs
+    /// read through [`EngineView::transfer`] come from the engine's prebuilt
+    /// flat matrix, so per-problem caches keyed on them see per-edge payload
+    /// prices on the costed path instead of the problem's uniform matrices.
+    fn reset(&mut self, view: &EngineView<'_>) {
+        let _ = view;
     }
 
     /// Score of the candidate edge `sender → receiver`; lower is better.
@@ -874,13 +758,8 @@ pub trait SelectionPolicy: Send {
     fn edge_score(&self, view: &EngineView<'_>, sender: ClusterId, receiver: ClusterId) -> Time;
 
     /// Receiver-level additive term (the lookahead `F_j`); defaults to zero.
-    fn receiver_bias(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        receiver: ClusterId,
-    ) -> Time {
-        let _ = (view, workspace, receiver);
+    fn receiver_bias(&mut self, view: &EngineView<'_>, receiver: ClusterId) -> Time {
+        let _ = (view, receiver);
         Time::ZERO
     }
 
@@ -896,16 +775,10 @@ pub trait SelectionPolicy: Send {
     /// — policies with per-receiver bias state should override it with a
     /// monomorphic loop so the per-receiver virtual dispatch of the default
     /// disappears from the selection hot path.
-    fn receiver_biases(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        receivers: &[u32],
-        out: &mut Vec<Time>,
-    ) {
+    fn receiver_biases(&mut self, view: &EngineView<'_>, receivers: &[u32], out: &mut Vec<Time>) {
         out.clear();
         for &r in receivers {
-            out.push(self.receiver_bias(view, workspace, ClusterId(r as usize)));
+            out.push(self.receiver_bias(view, ClusterId(r as usize)));
         }
     }
 
@@ -920,7 +793,10 @@ pub trait SelectionPolicy: Send {
     }
 
     /// Whether [`SelectionPolicy::edge_score`] depends on sender ready times.
-    /// When `false` the engine skips ready-time invalidation entirely.
+    /// When `false` no commit can invalidate a cached score, so the engine
+    /// skips ready-time invalidation entirely and keeps only each receiver's
+    /// head: an offer replaces it iff it wins in `(score, sender)` order, and
+    /// no runner-up, floor or gate is maintained (nothing would read them).
     fn sender_time_sensitive(&self) -> bool {
         true
     }
@@ -1001,16 +877,10 @@ pub trait SelectionPolicy: Send {
     }
 
     /// Notification that `sender → receiver` was committed (B shrank by
-    /// `receiver`); policies use it to advance incremental lookahead state
-    /// held in their own buffers or in the shared `workspace`.
-    fn on_commit(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        sender: ClusterId,
-        receiver: ClusterId,
-    ) {
-        let _ = (view, workspace, sender, receiver);
+    /// `receiver`, and `view.receivers()` no longer lists it); policies use
+    /// it to advance incremental lookahead state held in their own buffers.
+    fn on_commit(&mut self, view: &EngineView<'_>, sender: ClusterId, receiver: ClusterId) {
+        let _ = (view, sender, receiver);
     }
 
     /// How this policy's scores react to perturbed gaps — see
@@ -1036,6 +906,17 @@ pub trait SelectionPolicy: Send {
 /// A candidate `(objective value, receiver, sender)` tuple as scored by the
 /// selection scan — the currency of commit logging and replay verification.
 pub type CandidateTuple = (Time, u32, u32);
+
+/// Whether `a` is strictly greater than `b` as plain IEEE floats: the
+/// engine's one-comparison reject. It implies `a > b` in [`Time`]'s total
+/// order, so a candidate it drops loses every exact `(score, id)` comparison
+/// it skips; equal floats, `±0` and NaN answer `false` and fall through to
+/// that exact comparison, so every decision stays the one the tuple order
+/// makes.
+#[inline(always)]
+fn float_gt(a: Time, b: Time) -> bool {
+    a.as_secs() > b.as_secs()
+}
 
 /// Candidate `(objective, receiver, sender)` comparison.
 fn candidate_improves(
@@ -1169,6 +1050,10 @@ impl CommitLog {
 /// grown head, bubble it to its sorted position, refresh whichever cached
 /// entry surfaces until the head is fresh, and accept it iff it still beats
 /// the floor — only then is a ready-order rescan needed.
+///
+/// For a time-insensitive policy only invariant 1 is kept, and only in the
+/// dense `best_*` mirrors: its scores never change, so nothing invalidates a
+/// head and nothing reads the rows, floors or gates behind it.
 #[derive(Debug, Default)]
 struct EngineState {
     in_a: Vec<bool>,
@@ -1220,8 +1105,6 @@ struct EngineState {
     /// Scratch for makespan computation without building a [`Schedule`].
     arrival: Vec<Time>,
     busy: Vec<Time>,
-    /// Shared sorted-candidate rows for lookahead policies.
-    lookahead: LookaheadWorkspace,
     /// Per-round receiver-bias buffer filled by the policy's batched hook.
     bias_buf: Vec<Time>,
     /// Flat sender-major `g_ij + L_ij` combined per problem for the view's
@@ -1413,7 +1296,6 @@ impl EngineState {
             receivers,
             best_score,
             best_sender,
-            lookahead,
             bias_buf,
             tx,
             ..
@@ -1429,7 +1311,7 @@ impl EngineState {
         };
         let biased = policy.uses_receiver_bias();
         if biased {
-            policy.receiver_biases(&view, lookahead, receivers, bias_buf);
+            policy.receiver_biases(&view, receivers, bias_buf);
         }
         let mut best: Option<(Time, u32, u32)> = None;
         let mut second: Option<(Time, u32, u32)> = None;
@@ -1608,7 +1490,7 @@ impl EngineState {
                         }
                         row[slot] = entry;
                         filled += 1;
-                    } else if entry < row[k] {
+                    } else if !float_gt(score, row[k].0) && entry < row[k] {
                         let mut slot = k;
                         while slot > 0 && row[slot - 1] > entry {
                             row[slot] = row[slot - 1];
@@ -1740,10 +1622,10 @@ impl EngineState {
     /// hands it the stretches between invalidated receivers, and a repaired
     /// receiver as a run of one.
     ///
-    /// Fast path: a score strictly above `gate[j]` beats neither the row tail
-    /// nor the floor (both comparisons are lex on `(score, sender)`, so a
-    /// strictly larger score loses regardless of the sender id) and moves on
-    /// after one dense load. Fusing the run hoists the view construction and
+    /// Fast path: a score strictly above `gate[j]` as a plain float beats
+    /// neither the row tail nor the floor (both comparisons are lex on
+    /// `(score, sender)`, so a strictly larger score loses regardless of the
+    /// sender id) and moves on after one dense load and one float comparison. Fusing the run hoists the view construction and
     /// the borrow plumbing out of the per-receiver work; with ~`|B|` offers
     /// per commit this loop is the engine's single hottest stretch at the
     /// large sizes.
@@ -1786,7 +1668,7 @@ impl EngineState {
             let j = jr as usize;
             let score = policy.edge_score(&view, ClusterId(new_sender as usize), ClusterId(j));
             debug_assert_score_not_nan(score);
-            if score > gate[j] {
+            if float_gt(score, gate[j]) {
                 continue;
             }
             let entry = (score, new_sender);
@@ -1839,6 +1721,51 @@ impl EngineState {
             } else {
                 Time::INFINITY
             };
+        }
+    }
+
+    /// The offer loop of a policy whose scores ignore ready times
+    /// ([`SelectionPolicy::sender_time_sensitive`] `false`, Flat Tree and
+    /// FEF): the freshly-joined sender replaces a receiver's head iff it
+    /// beats it in `(score, sender)` order. Only the dense head mirrors are
+    /// kept — no commit ever invalidates them, so no repair or rescan reads a
+    /// runner-up, floor or gate. Flat Tree scores every non-root sender `∞`
+    /// against the root's finite head, so each of its offers leaves on one
+    /// float comparison.
+    fn offer_heads<P: SelectionPolicy + ?Sized>(
+        &mut self,
+        problem: &BroadcastProblem,
+        policy: &P,
+        new_sender: u32,
+    ) {
+        let EngineState {
+            in_a,
+            ready,
+            tx,
+            receivers,
+            best_score,
+            best_sender,
+            ..
+        } = self;
+        let view = EngineView {
+            problem,
+            in_a,
+            ready,
+            mat: tx,
+            receiver_major: false,
+            receivers,
+            n: problem.num_clusters(),
+        };
+        for &jr in receivers.iter() {
+            let j = jr as usize;
+            let score = policy.edge_score(&view, ClusterId(new_sender as usize), ClusterId(j));
+            debug_assert_score_not_nan(score);
+            if !float_gt(score, best_score[j])
+                && (score, new_sender) < (best_score[j], best_sender[j])
+            {
+                best_score[j] = score;
+                best_sender[j] = new_sender;
+            }
         }
     }
 
@@ -1938,7 +1865,6 @@ impl EngineState {
             in_a,
             ready,
             tx,
-            lookahead,
             receivers,
             ..
         } = &mut *self;
@@ -1951,14 +1877,20 @@ impl EngineState {
             receivers,
             n: problem.num_clusters(),
         };
-        policy.on_commit(&view, lookahead, sender, receiver);
+        policy.on_commit(&view, sender, receiver);
 
+        // A time-insensitive policy's scores never change, so nothing ever
+        // invalidates its heads and nothing reads its runners-up, floors or
+        // gates: an offer only has to beat the head.
+        if !policy.sender_time_sensitive() {
+            self.offer_heads(problem, policy, r as u32);
+            return;
+        }
         // Incremental cache maintenance. Receivers that relied on the committed
         // sender are repaired against their cached runners-up; the few that
         // cannot be repaired are collected and rebuilt by one shared walk in
         // ready order (which already sees the freshly-joined sender).
         // Everyone else is offered the new sender in O(K_BEST).
-        let sensitive = policy.sender_time_sensitive();
         debug_assert!(self.pending.is_empty());
         // Receivers are offered in list order; the stretches between
         // invalidated receivers go through one fused `offer_run` each (an
@@ -1969,7 +1901,7 @@ impl EngineState {
         let b_len = self.receivers.len();
         while i < b_len {
             let j = self.receivers[i];
-            if sensitive && self.best_sender[j as usize] == s as u32 {
+            if self.best_sender[j as usize] == s as u32 {
                 self.telemetry.invalidation();
                 if self.repair_invalidated(problem, policy, j, s as u32) {
                     self.offer_run(problem, policy, i, i + 1, r as u32);
@@ -1979,9 +1911,7 @@ impl EngineState {
                 i += 1;
             } else {
                 let from = i;
-                while i < b_len
-                    && !(sensitive && self.best_sender[self.receivers[i] as usize] == s as u32)
-                {
+                while i < b_len && self.best_sender[self.receivers[i] as usize] != s as u32 {
                     i += 1;
                 }
                 self.offer_run(problem, policy, from, i, r as u32);
@@ -2258,8 +2188,9 @@ impl EngineState {
     }
 
     /// Runs the policy's per-problem rebuild ([`SelectionPolicy::reset`])
-    /// over the current A/B sets. Sender-major view: the lookahead rows read
-    /// `transfer(j, k)` for consecutive `k`, which is exactly a `tx` row.
+    /// over the current A/B sets. Sender-major view: the ECEF lookahead
+    /// refresh reads `transfer(j, k)` for the `k` still in B, all in one `tx`
+    /// row.
     fn reset_policy<P: SelectionPolicy + ?Sized>(
         &mut self,
         problem: &BroadcastProblem,
@@ -2269,7 +2200,6 @@ impl EngineState {
             in_a,
             ready,
             tx,
-            lookahead,
             receivers,
             ..
         } = self;
@@ -2282,7 +2212,7 @@ impl EngineState {
             receivers,
             n: problem.num_clusters(),
         };
-        policy.reset(&view, lookahead);
+        policy.reset(&view);
     }
 
     /// The cold round loop without commit logging.
@@ -3087,11 +3017,11 @@ impl ScheduleEngine {
     /// completion times use the costed `g(payload) + L`.
     ///
     /// Caveat shared with [`ScheduleEngine::schedule_with_costs`]: a policy
-    /// component that reads the problem's raw matrices directly — the
-    /// lookahead `F_j` rows of the ECEF-LA family are built from them — still
-    /// sees the uniform prices, so those kinds score on mixed prices. The
-    /// relay policies of [`patterns`](crate::patterns) only consult the view
-    /// and are fully costed.
+    /// component that reads the problem's raw matrices directly still sees
+    /// the uniform prices. Every built-in kind reads its transfer costs
+    /// through the view, the ECEF lookaheads included; FEF reads the
+    /// problem's latencies, which no payload changes. The relay policies of
+    /// [`patterns`](crate::patterns) only consult the view as well.
     ///
     /// With [`EdgeCosts::uniform`] this is byte-identical to
     /// [`ScheduleEngine::schedule`] — the broadcast fast path is the
@@ -4088,22 +4018,6 @@ mod tests {
             let s = engine.schedule(&p, kind);
             assert_eq!(s.num_transfers(), 1, "{kind}");
         }
-    }
-
-    #[test]
-    fn lookahead_workspace_rows_and_cursors() {
-        let mut ws = LookaheadWorkspace::default();
-        let vals = [5.0, 1.0, 3.0];
-        ws.build_rows(3, false, |_, k| Time::from_millis(vals[k]));
-        // Ascending by key: 1 (1ms), 2 (3ms), 0 (5ms) for every row.
-        assert_eq!(ws.first_alive(0, |_| true), Some(1));
-        // Rejections advance the cursor permanently.
-        assert_eq!(ws.first_alive(1, |k| k != 1), Some(2));
-        assert_eq!(ws.first_alive(1, |_| true), Some(2));
-        ws.build_rows(3, true, |_, k| Time::from_millis(vals[k]));
-        assert_eq!(ws.first_alive(2, |_| true), Some(0));
-        // Exhausted rows yield None.
-        assert_eq!(ws.first_alive(0, |_| false), None);
     }
 
     #[cfg(feature = "telemetry")]

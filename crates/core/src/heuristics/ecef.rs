@@ -1,9 +1,7 @@
 //! The ECEF family: Early Completion Edge First and its lookahead variants
 //! (Sections 4.3, 4.4, 5.1 and 5.2).
 
-use crate::engine::{
-    with_shared_engine, EngineView, LookaheadWorkspace, ReplayTraits, SelectionPolicy,
-};
+use crate::engine::{with_shared_engine, EngineView, ReplayTraits, SelectionPolicy};
 use crate::heuristics::Heuristic;
 use crate::{BroadcastProblem, Schedule};
 use gridcast_plogp::Time;
@@ -142,7 +140,7 @@ impl Heuristic for Ecef {
 /// cache**: `F_j` and the candidate cluster attaining it (`watch[j]`). `F_j`
 /// can only change when that candidate leaves B, so
 /// [`SelectionPolicy::on_commit`] refreshes exactly the receivers watching
-/// the departed cluster (found with one sequential scan) and the per-round
+/// the departed cluster (found with one walk over B) and the per-round
 /// selection reads biases from a flat array. A refresh recomputes the
 /// extremum with one pass over the engine's compacted B list
 /// ([`EngineView::receivers`]) — no sorted candidate rows are materialised,
@@ -250,7 +248,7 @@ impl SelectionPolicy for EcefPolicy {
         self.name
     }
 
-    fn reset(&mut self, view: &EngineView<'_>, _workspace: &mut LookaheadWorkspace) {
+    fn reset(&mut self, view: &EngineView<'_>) {
         if !self.uses_bias_cache() {
             return;
         }
@@ -293,12 +291,7 @@ impl SelectionPolicy for EcefPolicy {
         min_outgoing_transfer
     }
 
-    fn receiver_bias(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        receiver: ClusterId,
-    ) -> Time {
+    fn receiver_bias(&mut self, view: &EngineView<'_>, receiver: ClusterId) -> Time {
         let problem = view.problem();
         match self.lookahead {
             Lookahead::None => Time::ZERO,
@@ -321,7 +314,6 @@ impl SelectionPolicy for EcefPolicy {
             }
             Lookahead::MinEdge | Lookahead::MinEdgePlusIntra | Lookahead::MaxEdgePlusIntra => {
                 // Served from the dense cache maintained by `on_commit`.
-                let _ = workspace;
                 self.bias[receiver.index()]
             }
         }
@@ -331,13 +323,7 @@ impl SelectionPolicy for EcefPolicy {
         !matches!(self.lookahead, Lookahead::None)
     }
 
-    fn receiver_biases(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        receivers: &[u32],
-        out: &mut Vec<Time>,
-    ) {
+    fn receiver_biases(&mut self, view: &EngineView<'_>, receivers: &[u32], out: &mut Vec<Time>) {
         match self.lookahead {
             Lookahead::None => {
                 out.clear();
@@ -346,7 +332,7 @@ impl SelectionPolicy for EcefPolicy {
             Lookahead::AvgEdge => {
                 out.clear();
                 for &r in receivers {
-                    out.push(self.receiver_bias(view, workspace, ClusterId(r as usize)));
+                    out.push(self.receiver_bias(view, ClusterId(r as usize)));
                 }
             }
             Lookahead::MinEdge | Lookahead::MinEdgePlusIntra | Lookahead::MaxEdgePlusIntra => {
@@ -358,23 +344,18 @@ impl SelectionPolicy for EcefPolicy {
         }
     }
 
-    fn on_commit(
-        &mut self,
-        view: &EngineView<'_>,
-        workspace: &mut LookaheadWorkspace,
-        _sender: ClusterId,
-        receiver: ClusterId,
-    ) {
-        let _ = workspace;
+    fn on_commit(&mut self, view: &EngineView<'_>, _sender: ClusterId, receiver: ClusterId) {
         if !self.uses_bias_cache() {
             return;
         }
         // `F_j` only changes when the candidate attaining it departs from B:
-        // refresh exactly the receivers that watched the committed one.
+        // refresh exactly the receivers that watched the committed one. Only
+        // clusters still in B have a bias anyone reads, so the watchers are
+        // found by walking B (which no longer lists the departed cluster).
         let departed = receiver.index() as u32;
-        for j in 0..self.watch.len() {
-            if self.watch[j] == departed && view.in_b(ClusterId(j)) {
-                self.refresh_bias(view, j);
+        for &j in view.receivers() {
+            if self.watch[j as usize] == departed {
+                self.refresh_bias(view, j as usize);
             }
         }
     }

@@ -1,8 +1,6 @@
 //! The Flat Tree baseline (Section 4.1).
 
-use crate::engine::{
-    with_shared_engine, EngineView, LookaheadWorkspace, ReplayTraits, SelectionPolicy,
-};
+use crate::engine::{with_shared_engine, EngineView, ReplayTraits, SelectionPolicy};
 use crate::heuristics::Heuristic;
 use crate::{BroadcastProblem, Schedule};
 use gridcast_plogp::Time;
@@ -50,7 +48,7 @@ impl SelectionPolicy for FlatTreePolicy {
         "Flat Tree"
     }
 
-    fn reset(&mut self, view: &EngineView<'_>, _workspace: &mut LookaheadWorkspace) {
+    fn reset(&mut self, view: &EngineView<'_>) {
         self.root = view.problem().root;
     }
 

@@ -69,9 +69,8 @@ pub mod state;
 
 pub use engine::{
     best_slot, CandidateTuple, Candidates, CommitLog, EdgeCosts, EngineTelemetry, EngineView,
-    ExchangeSchedule, LoggedCommit, LookaheadWorkspace, Objective, Priced, ReplayTraits,
-    ScheduleEngine, SelectionPolicy, TieBreak, TimedTransfer, Transfer, TransferSet,
-    DEFAULT_K_BEST,
+    ExchangeSchedule, LoggedCommit, Objective, Priced, ReplayTraits, ScheduleEngine,
+    SelectionPolicy, TieBreak, TimedTransfer, Transfer, TransferSet, DEFAULT_K_BEST,
 };
 pub use global_minimum::{global_minimum, per_heuristic_makespans};
 pub use heuristics::{Heuristic, HeuristicKind};

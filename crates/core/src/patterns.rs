@@ -60,8 +60,8 @@
 //! than duplicated formulas.
 
 use crate::engine::{
-    with_shared_engine, EdgeCosts, EngineView, ExchangeSchedule, LookaheadWorkspace, Objective,
-    SelectionPolicy, Transfer, TransferSet,
+    with_shared_engine, EdgeCosts, EngineView, ExchangeSchedule, Objective, SelectionPolicy,
+    Transfer, TransferSet,
 };
 use crate::BroadcastProblem;
 use gridcast_collectives::{concat_blocks, BroadcastAlgorithm, Pattern, PatternCost};
@@ -251,12 +251,7 @@ impl SelectionPolicy for ScatterTailPolicy {
         }
     }
 
-    fn receiver_bias(
-        &mut self,
-        view: &EngineView<'_>,
-        _workspace: &mut LookaheadWorkspace,
-        receiver: ClusterId,
-    ) -> Time {
+    fn receiver_bias(&mut self, view: &EngineView<'_>, receiver: ClusterId) -> Time {
         match self.ordering {
             ScatterOrdering::ListOrder => Time::ZERO,
             ScatterOrdering::LongestTailFirst | ScatterOrdering::ShortestTailFirst => {
@@ -482,12 +477,7 @@ impl SelectionPolicy for RelayScatterPolicy {
         view.completion_estimate(sender, receiver)
     }
 
-    fn receiver_bias(
-        &mut self,
-        view: &EngineView<'_>,
-        _workspace: &mut LookaheadWorkspace,
-        receiver: ClusterId,
-    ) -> Time {
+    fn receiver_bias(&mut self, view: &EngineView<'_>, receiver: ClusterId) -> Time {
         match self.ordering {
             RelayOrdering::EarliestLocalFinish => view.problem().intra_time(receiver),
             _ => Time::ZERO,

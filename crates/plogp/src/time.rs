@@ -8,6 +8,7 @@
 //! so that invalid arithmetic is caught at the point it happens.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -118,18 +119,52 @@ impl Time {
 
 impl Eq for Time {}
 
+/// The order is [`f64::total_cmp`] on the stored seconds, for every bit
+/// pattern, decided float-first: one IEEE `<` or `>` answers whenever the two
+/// values differ as floats, and `total_cmp` runs only when neither holds —
+/// equal floats, `+0` against `-0` (which `total_cmp` orders `-0 < +0`), or a
+/// NaN. Construction forbids NaN, but `INFINITY - INFINITY` and `0 × INFINITY`
+/// can still make one, and the fallback keeps every answer exactly
+/// `total_cmp`'s there too. `lt`, `le`, `gt` and `ge` go through the same
+/// three-way test rather than the shortcut `a < b || (a == b && …)`, which
+/// answers differently on NaN.
 impl PartialOrd for Time {
     #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.cmp(other).is_lt()
+    }
+
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        self.cmp(other).is_le()
+    }
+
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        self.cmp(other).is_gt()
+    }
+
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.cmp(other).is_ge()
     }
 }
 
 impl Ord for Time {
     #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Construction forbids NaN, so total_cmp agrees with the usual order.
-        self.0.total_cmp(&other.0)
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.0 < other.0 {
+            Ordering::Less
+        } else if self.0 > other.0 {
+            Ordering::Greater
+        } else {
+            self.0.total_cmp(&other.0)
+        }
     }
 }
 
@@ -259,6 +294,116 @@ mod tests {
         assert_eq!(a.min(b), a);
         assert!(Time::ZERO < Time::INFINITY);
         assert!(a < Time::INFINITY);
+    }
+
+    /// Every ordering entry point against `f64::total_cmp` for one pair,
+    /// results compared bit for bit where they are times.
+    fn assert_orders_like_total_cmp(a: Time, b: Time) {
+        use std::cmp::Ordering;
+        let (x, y) = (a.as_secs(), b.as_secs());
+        let want = x.total_cmp(&y);
+        let what = format!("{x:e} ({:#x}) vs {y:e} ({:#x})", x.to_bits(), y.to_bits());
+        assert_eq!(a.cmp(&b), want, "cmp: {what}");
+        assert_eq!(a.partial_cmp(&b), Some(want), "partial_cmp: {what}");
+        assert_eq!(a < b, want == Ordering::Less, "lt: {what}");
+        assert_eq!(a <= b, want != Ordering::Greater, "le: {what}");
+        assert_eq!(a > b, want == Ordering::Greater, "gt: {what}");
+        assert_eq!(a >= b, want != Ordering::Less, "ge: {what}");
+        let (hi, lo) = if want.is_ge() { (x, y) } else { (y, x) };
+        assert_eq!(a.max(b).as_secs().to_bits(), hi.to_bits(), "max: {what}");
+        assert_eq!(a.min(b).as_secs().to_bits(), lo.to_bits(), "min: {what}");
+        assert_eq!(
+            Ord::max(a, b).as_secs().to_bits(),
+            hi.to_bits(),
+            "Ord::max: {what}"
+        );
+        assert_eq!(
+            Ord::min(a, b).as_secs().to_bits(),
+            lo.to_bits(),
+            "Ord::min: {what}"
+        );
+        // `a` clamped to the range spanned by `b` and the extreme ends of
+        // the total order.
+        for (low, high) in [(lo, hi), (f64::NEG_INFINITY, y), (y, f64::NAN)] {
+            if low.total_cmp(&high).is_gt() {
+                continue;
+            }
+            let want = if x.total_cmp(&low).is_lt() {
+                low
+            } else if x.total_cmp(&high).is_gt() {
+                high
+            } else {
+                x
+            };
+            let got = a.clamp(Time(low), Time(high)).as_secs();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "clamp to [{low:e}, {high:e}]: {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordering_is_exactly_total_cmp_on_special_values() {
+        let nan = Time::INFINITY - Time::INFINITY;
+        assert!(nan.as_secs().is_nan());
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.0,
+            -1.0,
+            nan.as_secs(),
+            -nan.as_secs(),
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0001),
+        ];
+        for &x in &specials {
+            for &y in &specials {
+                assert_orders_like_total_cmp(Time(x), Time(y));
+            }
+        }
+    }
+
+    #[test]
+    fn ordering_is_exactly_total_cmp_on_random_bit_patterns() {
+        // SplitMix64: a fixed, dependency-free stream of 64-bit patterns.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d1_049b_b133_111b);
+            z ^ (z >> 31)
+        };
+        let mut nans = 0;
+        for i in 0..20_000 {
+            let mut x = next();
+            let y = next();
+            // Every fourth pair shares its exponent (and every eighth its
+            // whole pattern), so equal floats, ±0 and NaN pairs come up as
+            // often as plain differing values.
+            if i % 4 == 0 {
+                x = (x & 0x000f_ffff_ffff_ffff) | (y & 0xfff0_0000_0000_0000);
+            }
+            if i % 8 == 0 {
+                x = y ^ (u64::from(i % 16 == 0) << 63);
+            }
+            let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+            nans += usize::from(x.is_nan() || y.is_nan());
+            assert_orders_like_total_cmp(Time(x), Time(y));
+        }
+        assert!(nans > 0, "the sweep must include NaN patterns");
     }
 
     #[test]

@@ -513,8 +513,8 @@ fn execute_events<P: EventProgram, S: TraceSink>(
             EventKind::Attempt { node } => {
                 let idx = node.index();
                 let send = program.send(idx, cursor[idx]);
-                let src_cluster = network.nodes()[idx].cluster.index();
-                let dst_cluster = network.nodes()[send.to.index()].cluster.index();
+                let src_cluster = network.cluster_of(node).index();
+                let dst_cluster = network.cluster_of(send.to).index();
                 let gap = network.gap(node, send.to, send.payload);
                 // The earliest feasible start given everything committed so
                 // far; constraints only move forward, so re-queueing at this

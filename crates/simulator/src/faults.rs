@@ -405,8 +405,8 @@ fn transmit<S: TraceSink>(
 ) -> Result<Transmit, SimError> {
     let from = NodeId(node as u32);
     let to = ctx.plan.forwards[node][entry];
-    let src_cluster = ctx.network.nodes()[node].cluster.index();
-    let dst_cluster = ctx.network.nodes()[to.index()].cluster.index();
+    let src_cluster = ctx.network.cluster_of(from).index();
+    let dst_cluster = ctx.network.cluster_of(to).index();
     let mut gap = ctx.network.gap(from, to, ctx.m);
     let latency = ctx.network.latency(from, to);
 
@@ -985,21 +985,16 @@ mod tests {
         let network = NodeNetwork::new(&grid);
         let mut plan = SendPlan::empty(NodeId(0), network.num_nodes());
         // Node 0 (cluster 0) sends to the first node of another cluster.
-        let target = network
-            .nodes()
-            .iter()
-            .find(|n| n.cluster != network.nodes()[0].cluster)
-            .expect("multi-cluster grid")
-            .id;
+        let target = (0..network.num_nodes() as u32)
+            .map(NodeId)
+            .find(|&n| network.cluster_of(n) != network.cluster_of(NodeId(0)))
+            .expect("multi-cluster grid");
         plan.forwards[0].push(target);
         let m = MessageSize::from_mib(1);
         let clean = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut crate::NullSink);
         let down_until = Time::from_millis(40.0);
         let faults = FaultPlan::new(1).with_flap(LinkFlap {
-            between: (
-                network.nodes()[0].cluster,
-                network.nodes()[target.index()].cluster,
-            ),
+            between: (network.cluster_of(NodeId(0)), network.cluster_of(target)),
             from: Time::ZERO,
             until: down_until,
         });

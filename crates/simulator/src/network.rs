@@ -1,7 +1,7 @@
 //! Resolution of point-to-point parameters between individual machines.
 
 use gridcast_plogp::{MessageSize, PLogP, Time};
-use gridcast_topology::{ClusterId, Grid, IntraClusterParams, Node, NodeId};
+use gridcast_topology::{ClusterId, Grid, IntraClusterParams, NodeId};
 
 /// A node-level view of the grid: given two machines, what are the pLogP
 /// parameters of the path between them?
@@ -13,7 +13,9 @@ use gridcast_topology::{ClusterId, Grid, IntraClusterParams, Node, NodeId};
 ///   model so that node-level plans remain executable.
 #[derive(Debug, Clone)]
 pub struct NodeNetwork {
-    nodes: Vec<Node>,
+    /// The cluster of every machine, indexed by [`NodeId`] in
+    /// [`Grid::enumerate_nodes`] order: all the simulator reads of a node.
+    node_cluster: Vec<ClusterId>,
     grid: Grid,
     fallback_lan: PLogP,
     wan_concurrency: usize,
@@ -33,8 +35,12 @@ pub const DEFAULT_WAN_CONCURRENCY: usize = 4;
 impl NodeNetwork {
     /// Builds the node-level view of `grid`.
     pub fn new(grid: &Grid) -> Self {
+        let mut node_cluster = Vec::with_capacity(grid.num_nodes() as usize);
+        for cluster in grid.clusters() {
+            node_cluster.extend((0..cluster.size).map(|_| cluster.id));
+        }
         NodeNetwork {
-            nodes: grid.enumerate_nodes(),
+            node_cluster,
             grid: grid.clone(),
             fallback_lan: PLogP::affine(Time::from_micros(50.0), Time::from_micros(20.0), 110e6),
             wan_concurrency: DEFAULT_WAN_CONCURRENCY,
@@ -56,12 +62,13 @@ impl NodeNetwork {
 
     /// Number of machines.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.node_cluster.len()
     }
 
-    /// The machines, indexed by [`NodeId`].
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    /// The cluster machine `node` belongs to.
+    #[inline]
+    pub(crate) fn cluster_of(&self, node: NodeId) -> ClusterId {
+        self.node_cluster[node.index()]
     }
 
     /// The underlying grid.
@@ -80,15 +87,14 @@ impl NodeNetwork {
 
     /// The pLogP parameters governing a message from `from` to `to`.
     pub fn link(&self, from: NodeId, to: NodeId) -> &PLogP {
-        let a = &self.nodes[from.index()];
-        let b = &self.nodes[to.index()];
-        if a.cluster == b.cluster {
-            match &self.grid.cluster(a.cluster).intra {
+        let (a, b) = (self.cluster_of(from), self.cluster_of(to));
+        if a == b {
+            match &self.grid.cluster(a).intra {
                 IntraClusterParams::Modelled { plogp } => plogp,
                 IntraClusterParams::Fixed { .. } => &self.fallback_lan,
             }
         } else {
-            self.grid.link(a.cluster, b.cluster)
+            self.grid.link(a, b)
         }
     }
 
@@ -151,7 +157,12 @@ mod tests {
         let grid = grid5000_table3();
         let net = NodeNetwork::new(&grid);
         assert_eq!(net.grid().num_clusters(), 6);
-        assert_eq!(net.nodes()[0].cluster, ClusterId(0));
-        assert_eq!(net.nodes()[87].cluster, ClusterId(5));
+        assert_eq!(net.cluster_of(NodeId(0)), ClusterId(0));
+        assert_eq!(net.cluster_of(NodeId(87)), ClusterId(5));
+        let nodes = grid.enumerate_nodes();
+        assert_eq!(net.num_nodes(), nodes.len());
+        for node in &nodes {
+            assert_eq!(net.cluster_of(node.id), node.cluster, "{}", node.name);
+        }
     }
 }
