@@ -36,14 +36,14 @@
 //!   when the whole row deteriorated past the floor does the engine fall back
 //!   to a **rescan**.
 //!
-//! All rescans triggered by one commit share a single pruned walk over the
-//! senders in ready order (a sorted array kept incrementally — ready times
-//! only grow, so a commit re-sorts with one bubble pass and one insert).
-//! Each pending receiver retires from the walk as soon as the next ready time
-//! plus its static score offset ([`SelectionPolicy::edge_score_offset`])
-//! exceeds its provisional `(K_BEST+1)`-smallest score — sound because an
-//! edge score is bounded below by its sender's ready time plus that offset —
-//! and leaves with an exact rebuilt row and floor.
+//! Each rescan is a pruned walk over the senders in ready order (a sorted
+//! array kept incrementally — ready times only grow, so a commit re-sorts
+//! with one bubble pass and one insert). The walk retires as soon as the next
+//! ready time plus the receiver's static score offset
+//! ([`SelectionPolicy::edge_score_offset`]) exceeds its provisional
+//! `(K_BEST+1)`-smallest score — sound because an edge score is bounded below
+//! by its sender's ready time plus that offset — and leaves the receiver with
+//! an exact rebuilt row and floor.
 //!
 //! Policies whose scores do not depend on ready times (Flat Tree, FEF) declare
 //! [`SelectionPolicy::sender_time_sensitive`] `false`. Nothing ever
@@ -81,9 +81,9 @@
 //!
 //! All engine buffers are reused across rounds, heuristics and problems: after
 //! warm-up, a call to [`ScheduleEngine::makespan`] performs **zero heap
-//! allocations** (asserted by `tests/alloc_probe.rs`). The
-//! [`EngineTelemetry`] counters compile to nothing unless the crate's
-//! `telemetry` feature is enabled.
+//! allocations** (asserted by `tests/alloc_probe.rs`). Every build records
+//! the [`EngineTelemetry`] counters: one integer increment per counted event,
+//! and one addition per rescan walk rather than one per walked sender.
 //!
 //! Tie-breaking replicates the seed heuristics exactly — byte-identical
 //! schedules are asserted by `tests/proptest_invariants.rs` — so the engine is
@@ -147,15 +147,6 @@ const NO_SENDER: u32 = u32::MAX;
 /// read ~4% more throughput, inside the benchmark's bound.
 pub const DEFAULT_K_BEST: usize = 2;
 
-/// Senders per bucket of the ready-order index: each bucket of the sorted
-/// sender array carries a cached minimum of `fl(ready + r_s)` (the per-sender
-/// score bound of [`SelectionPolicy::sender_score_offset`]) so the shared
-/// rescan walk can retire a whole bucket with one comparison. 32 keeps a
-/// bucket's ready times inside four cache lines and the per-commit dirty
-/// marking cheap; the minima are recomputed lazily, only when a walk actually
-/// reaches a dirty bucket.
-const WALK_BUCKET: usize = 32;
-
 /// Read-only view of the engine state handed to policies.
 ///
 /// The flat `g + L` cost matrix is carried in **two orientations** — the
@@ -163,7 +154,7 @@ const WALK_BUCKET: usize = 32;
 /// exact same floats — and each view is constructed over whichever one its
 /// call site streams contiguously. The offer loop (one fresh sender scored
 /// against every receiver) reads the sender-major row; the repair path and
-/// the shared rescan walk (many senders scored against one receiver) read the
+/// the rescan walk (many senders scored against one receiver) read the
 /// receiver-major row, which keeps each pending receiver's costs inside a few
 /// cache lines instead of striding a column through the whole matrix.
 /// Policies are none the wiser: [`EngineView::completion_estimate`] and
@@ -498,9 +489,10 @@ impl ExchangeSchedule {
 ///
 /// All counters are cumulative across runs of one [`ScheduleEngine`]; sample
 /// them with [`ScheduleEngine::telemetry`] or [`ScheduleEngine::take_telemetry`].
-/// Recording is compiled in only with the crate's `telemetry` feature — without
-/// it every recording call is an empty inline function and the counters stay
-/// zero, so the hot path pays nothing.
+/// Every build records them, so a default build reads the same counts as the
+/// work pins in `tests/rescan_regression.rs`. Each is one integer increment
+/// at its event; a rescan walk adds its visited-sender count once, after the
+/// walk, so the walk's per-sender loop carries no counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineTelemetry {
     /// Rounds executed (one committed transfer each).
@@ -515,12 +507,11 @@ pub struct EngineTelemetry {
     pub promotions: u64,
     /// Invalidations that fell back to a pruned ready-order rescan.
     pub rescans: u64,
-    /// Senders examined by the shared rescan walks — the dominant rescan
-    /// cost.
+    /// Senders examined by the rescan walks — the dominant rescan cost.
     pub walked_senders: u64,
-    /// Whole buckets of the ready-order index the shared rescan walks skipped
-    /// with a single bound comparison instead of walking their senders
-    /// individually.
+    /// Always zero. It counted the bucket skips of a bucketed ready-order
+    /// index the rescan walk no longer has; the field stays only because the
+    /// benchmark harness under `perfbench/` still names it.
     pub bucket_skips: u64,
     /// Transfers committed by the exchange scheduler
     /// ([`ScheduleEngine::schedule_transfers`]).
@@ -566,128 +557,6 @@ impl EngineTelemetry {
         } else {
             self.repaired_from_second_best() as f64 / self.invalidations as f64
         }
-    }
-
-    #[inline]
-    fn round(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.rounds += 1;
-        }
-    }
-
-    #[inline]
-    fn invalidation(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.invalidations += 1;
-        }
-    }
-
-    #[inline]
-    fn second_best_hit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.second_best_hits += 1;
-        }
-    }
-
-    #[inline]
-    fn promotion(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.promotions += 1;
-        }
-    }
-
-    #[inline]
-    fn rescan(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.rescans += 1;
-        }
-    }
-
-    #[inline]
-    fn walked_sender(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.walked_senders += 1;
-        }
-    }
-
-    #[inline]
-    fn bucket_skip(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.bucket_skips += 1;
-        }
-    }
-
-    #[inline]
-    fn exchange_commit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.exchange_commits += 1;
-        }
-    }
-
-    #[inline]
-    fn exchange_pop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.exchange_pops += 1;
-        }
-    }
-
-    #[inline]
-    fn exchange_reinsert(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.exchange_reinserts += 1;
-        }
-    }
-
-    #[inline]
-    fn exchange_oracle_scan(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.exchange_oracle_scans += 1;
-        }
-    }
-
-    #[inline]
-    fn replayed_commit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.replayed_commits += 1;
-        }
-    }
-
-    #[inline]
-    fn repaired_commit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.repaired_commits += 1;
-        }
-    }
-
-    #[inline]
-    fn recomputed_commit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.recomputed_commits += 1;
-        }
-    }
-
-    #[inline]
-    fn recomputed_many(&mut self, count: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.recomputed_commits += count as u64;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = count;
     }
 }
 
@@ -842,37 +711,6 @@ pub trait SelectionPolicy: Send {
     /// times the engine walks).
     fn edge_score_post_offset(&self, problem: &BroadcastProblem, receiver: ClusterId) -> Time {
         let _ = (problem, receiver);
-        Time::ZERO
-    }
-
-    /// A static per-**sender** bound `r_s`, the dual of
-    /// [`SelectionPolicy::edge_score_offset`]: for every receiver `j` the
-    /// policy must guarantee `edge_score(s, j) >= fl(fl(t + r_s) + d_j)`
-    /// where `t` is the sender's ready time and `d_j` the post-rounding
-    /// receiver bound. The bucketed ready-order index aggregates
-    /// `fl(ready(s) + r_s)` into per-bucket minima so the shared rescan walk
-    /// can skip a whole bucket of senders with one comparison instead of
-    /// walking them individually.
-    ///
-    /// `min_outgoing_transfer` is `min_{k != sender} (g_sk + L_sk)` — the
-    /// sender's cheapest outgoing transfer, precomputed by the engine row-wise
-    /// alongside the receiver column minima. Completion-estimate scores
-    /// (`fl(t + (g+L))` with `g+L >= min_outgoing`) can return it directly:
-    /// rounded addition is monotone in each operand, so
-    /// `fl(t + x) >= fl(t + r_s)` whenever `x >= r_s`. As with the receiver
-    /// bounds, the inequality must hold under *rounded* arithmetic evaluated
-    /// exactly as written — a bound that is itself a rounded sum of score
-    /// parts is not automatically safe. Only consulted for time-sensitive
-    /// policies; defaults to zero (bucket minima degrade to plain ready
-    /// times, which the generic `edge_score(s, r) >= ready_time(s)` contract
-    /// already guarantees).
-    fn sender_score_offset(
-        &self,
-        problem: &BroadcastProblem,
-        sender: ClusterId,
-        min_outgoing_transfer: Time,
-    ) -> Time {
-        let _ = (problem, sender, min_outgoing_transfer);
         Time::ZERO
     }
 
@@ -1091,7 +929,7 @@ struct EngineState {
     /// Position of each sender in `order` (`u32::MAX` while still in B).
     order_pos: Vec<u32>,
     /// Receivers of the current commit that could not be repaired and await
-    /// the shared rescan walk.
+    /// a rescan walk.
     pending: Vec<u32>,
     /// Per-receiver static score offsets (`SelectionPolicy::edge_score_offset`)
     /// sharpening the walk's retirement bound.
@@ -1099,7 +937,7 @@ struct EngineState {
     /// The post-rounding second bound component
     /// ([`SelectionPolicy::edge_score_post_offset`]).
     score_post: Vec<Time>,
-    /// Per-pending-receiver top `K_BEST + 1` buffers of the shared walk.
+    /// The rescan walk's top `K_BEST + 1` buffer, reused per pending receiver.
     tops: Vec<(Time, u32)>,
     topn: Vec<u32>,
     /// Scratch for makespan computation without building a [`Schedule`].
@@ -1118,28 +956,13 @@ struct EngineState {
     /// the uniform path, per-edge payload-priced on the costed path.
     gp: Vec<Time>,
     /// Receiver-major twin of `tx` (`rx[r·n + s] = tx[s·n + r]`, bit for
-    /// bit): the repair path and the shared rescan walk score many senders
+    /// bit): the repair path and the rescan walk score many senders
     /// against one receiver, so they stream this transposed copy row-wise
     /// instead of striding a column of `tx` through the whole matrix.
     rx: Vec<Time>,
     /// Per-receiver column minima of `tx` (cheapest incoming transfer),
     /// handed to [`SelectionPolicy::edge_score_offset`].
     min_in: Vec<Time>,
-    /// Per-sender row minima of `tx` (cheapest outgoing transfer, diagonal
-    /// excluded), handed to [`SelectionPolicy::sender_score_offset`].
-    min_out: Vec<Time>,
-    /// Per-sender static score bounds `r_s`
-    /// ([`SelectionPolicy::sender_score_offset`]) aggregated into the
-    /// bucketed ready-order index.
-    sender_offset: Vec<Time>,
-    /// Per-bucket minima of `fl(ready + r_s)` over [`WALK_BUCKET`]-sized
-    /// slices of `order` — the one-comparison bucket-skip bound of the
-    /// shared rescan walk. Only valid where `bucket_dirty` is clear.
-    bucket_min: Vec<Time>,
-    /// Buckets whose cached minimum is stale (a member's ready time or
-    /// position changed); recomputed lazily by the next walk that reaches
-    /// them.
-    bucket_dirty: Vec<bool>,
     /// Candidate-row width: [`DEFAULT_K_BEST`] unless fixed via
     /// [`ScheduleEngine::with_k_best`]; a pure performance knob — schedules
     /// stay byte-identical for any `K ≥ 1`.
@@ -1216,11 +1039,6 @@ impl EngineState {
         self.tops.reserve(n * (k + 1));
         self.topn.clear();
         self.topn.reserve(n);
-        let buckets = n.div_ceil(WALK_BUCKET);
-        self.bucket_min.clear();
-        self.bucket_min.resize(buckets, Time::INFINITY);
-        self.bucket_dirty.clear();
-        self.bucket_dirty.resize(buckets, true);
     }
 
     fn init_caches<P: SelectionPolicy + ?Sized>(
@@ -1257,9 +1075,6 @@ impl EngineState {
         self.score_offset.resize(problem.num_clusters(), Time::ZERO);
         self.score_post.clear();
         self.score_post.resize(problem.num_clusters(), Time::ZERO);
-        self.sender_offset.clear();
-        self.sender_offset
-            .resize(problem.num_clusters(), Time::ZERO);
         if policy.sender_time_sensitive() {
             for &r in &self.receivers {
                 self.score_offset[r as usize] = policy.edge_score_offset(
@@ -1269,12 +1084,6 @@ impl EngineState {
                 );
                 self.score_post[r as usize] =
                     policy.edge_score_post_offset(problem, ClusterId(r as usize));
-            }
-            // Every cluster eventually sends: fill the per-sender bounds for
-            // all of them up front (the root is a sender from round one).
-            for c in 0..problem.num_clusters() {
-                self.sender_offset[c] =
-                    policy.sender_score_offset(problem, ClusterId(c), self.min_out[c]);
             }
         }
     }
@@ -1350,23 +1159,12 @@ impl EngineState {
     /// receiver's contiguous `rx` row — an order of magnitude less per-visit
     /// overhead than the shared walk's pending-indexed inner loop.
     ///
-    /// The walk itself is **bucketed**: `order` is viewed as
-    /// [`WALK_BUCKET`]-sized slices, each carrying a lazily-maintained
-    /// minimum of `fl(ready + r_s)` (the per-sender bound of
-    /// [`SelectionPolicy::sender_score_offset`]). A full row compares that
-    /// minimum against its provisional floor and retires whole buckets —
-    /// typically the long already-busy prefix of A — without re-walking
-    /// their senders, which is what breaks the `O(|A|)` re-walk per rescan
-    /// at the tail sizes. Skips use a strict `>` on bounds that hold under
-    /// rounded arithmetic, so the produced rows are bit-identical to the
-    /// plain walk's.
-    ///
     /// `PRUNE = false` is the warm-start rebuild: the walk visits all of A,
-    /// with neither the retirement bound nor the bucket skips. Those bounds
-    /// (`ready + offset` is a lower bound on the score) only hold for
-    /// sender-time-sensitive policies; Flat Tree and FEF score on matrix
-    /// entries alone, so [`EngineState::repair_and_finish`] — which, unlike
-    /// the commit path, runs for *every* policy — must walk everything. It
+    /// without the retirement bound. That bound (`ready + offset` is a lower
+    /// bound on the score) only holds for sender-time-sensitive policies;
+    /// Flat Tree and FEF score on matrix entries alone, so
+    /// [`EngineState::repair_and_finish`] — which, unlike the commit path,
+    /// runs for *every* policy — must walk everything. It
     /// runs once per reschedule, not once per commit, so the missing pruning
     /// is irrelevant; both instances compute the exact lexicographic top
     /// `K_BEST + 1`, so the rows, floors and gates are bit-identical wherever
@@ -1393,9 +1191,6 @@ impl EngineState {
             pending,
             score_offset,
             score_post,
-            sender_offset,
-            bucket_min,
-            bucket_dirty,
             tops,
             rx,
             receivers,
@@ -1418,7 +1213,7 @@ impl EngineState {
         tops.clear();
         tops.resize(stride, (Time::INFINITY, NO_SENDER));
         for &jr in pending.iter() {
-            telemetry.rescan();
+            telemetry.rescans += 1;
             let j = jr as usize;
             // The static bound components are per-receiver constants: hoist
             // them so the retirement test runs on registers.
@@ -1426,81 +1221,41 @@ impl EngineState {
             let off2 = score_post[j];
             let row = &mut tops[..stride];
             let mut filled = 0usize;
-            let len = order.len();
-            let mut lo = 0usize;
-            'walk: while lo < len {
-                let hi = (lo + WALK_BUCKET).min(len);
-                if PRUNE {
-                    let b = lo / WALK_BUCKET;
-                    // The bucket's first sender has the smallest ready time
-                    // of every sender left (the order is sorted): this is
-                    // the per-sender retirement bound applied at bucket
-                    // granularity, and it runs *before* any dirty-minimum
-                    // recompute so unreachable buckets never pay one.
-                    let t0 = ready[order[lo] as usize];
-                    if filled == stride && t0 + off1 + off2 > row[k].0 {
-                        break;
-                    }
-                    if bucket_dirty[b] {
-                        let mut m = Time::INFINITY;
-                        for &s in &order[lo..hi] {
-                            let v = ready[s as usize] + sender_offset[s as usize];
-                            if v < m {
-                                m = v;
-                            }
-                        }
-                        bucket_min[b] = m;
-                        bucket_dirty[b] = false;
-                    }
-                    // Bucket skip: every sender in the bucket scores at
-                    // least `fl(fl(ready + r_s) + d_j) >= fl(bucket_min +
-                    // d_j)` (rounded float addition is monotone in each
-                    // operand) — strictly above the provisional floor means
-                    // no member can enter the row or lower it, so the whole
-                    // bucket retires on one comparison. The sums must be
-                    // computed exactly as written; ties (`==`) are never
-                    // skipped, preserving the lex `(score, sender)` order
-                    // bit for bit.
-                    if filled == stride && bucket_min[b] + off2 > row[k].0 {
-                        telemetry.bucket_skip();
-                        lo = hi;
-                        continue;
-                    }
+            // Counted once per walk, not per sender: the loop stays free of
+            // a counter, and the count is the retiring sender's position.
+            let mut walked = order.len();
+            for (pos, &s) in order.iter().enumerate() {
+                let t = ready[s as usize];
+                // Any unwalked sender scores at least `fl(fl(t + c_j) + d_j)`:
+                // stop once that strictly exceeds the provisional floor. The
+                // sums must be computed exactly as written, left to right — a
+                // rearranged `t > floor - c_j` is not float-equivalent and
+                // could cut the walk one sender too early.
+                if PRUNE && filled == stride && t + off1 + off2 > row[k].0 {
+                    walked = pos;
+                    break;
                 }
-                for &s in &order[lo..hi] {
-                    let t = ready[s as usize];
-                    // Any unwalked sender scores at least
-                    // `fl(fl(t + c_j) + d_j)`: stop once that strictly
-                    // exceeds the provisional floor. The sums must be
-                    // computed exactly as written, left to right — a
-                    // rearranged `t > floor - c_j` is not float-equivalent
-                    // and could cut the walk one sender too early.
-                    if PRUNE && filled == stride && t + off1 + off2 > row[k].0 {
-                        break 'walk;
+                let score = policy.edge_score(&view, ClusterId(s as usize), ClusterId(j));
+                debug_assert_score_not_nan(score);
+                let entry = (score, s);
+                if filled < stride {
+                    let mut slot = filled;
+                    while slot > 0 && row[slot - 1] > entry {
+                        row[slot] = row[slot - 1];
+                        slot -= 1;
                     }
-                    telemetry.walked_sender();
-                    let score = policy.edge_score(&view, ClusterId(s as usize), ClusterId(j));
-                    debug_assert_score_not_nan(score);
-                    let entry = (score, s);
-                    if filled < stride {
-                        let mut slot = filled;
-                        while slot > 0 && row[slot - 1] > entry {
-                            row[slot] = row[slot - 1];
-                            slot -= 1;
-                        }
-                        row[slot] = entry;
-                        filled += 1;
-                    } else if !float_gt(score, row[k].0) && entry < row[k] {
-                        let mut slot = k;
-                        while slot > 0 && row[slot - 1] > entry {
-                            row[slot] = row[slot - 1];
-                            slot -= 1;
-                        }
-                        row[slot] = entry;
+                    row[slot] = entry;
+                    filled += 1;
+                } else if !float_gt(score, row[k].0) && entry < row[k] {
+                    let mut slot = k;
+                    while slot > 0 && row[slot - 1] > entry {
+                        row[slot] = row[slot - 1];
+                        slot -= 1;
                     }
+                    row[slot] = entry;
                 }
-                lo = hi;
             }
+            telemetry.walked_senders += walked as u64;
             debug_assert!(filled > 0, "set A is never empty");
             let keep = filled.min(k);
             for (slot, &(score, s)) in row[..keep].iter().enumerate() {
@@ -1591,9 +1346,9 @@ impl EngineState {
             // The grown head may have bubbled into the row tail.
             self.refresh_gate(j);
             if self.best_sender[j] == s {
-                self.telemetry.second_best_hit();
+                self.telemetry.second_best_hits += 1;
             } else {
-                self.telemetry.promotion();
+                self.telemetry.promotions += 1;
             }
             return true;
         }
@@ -1776,8 +1531,7 @@ impl EngineState {
     #[inline]
     fn reposition_sender(&mut self, s: usize) {
         let key = (self.ready[s], s as u32);
-        let start = self.order_pos[s] as usize;
-        let mut pos = start;
+        let mut pos = self.order_pos[s] as usize;
         debug_assert_eq!(self.order[pos], s as u32);
         while pos + 1 < self.order.len() {
             let next = self.order[pos + 1];
@@ -1791,9 +1545,6 @@ impl EngineState {
         }
         self.order[pos] = s as u32;
         self.order_pos[s] = pos as u32;
-        // Everything between the old and new position moved (and the
-        // sender's ready time grew): their buckets' cached minima are stale.
-        self.mark_buckets_dirty(start, pos);
     }
 
     /// Inserts the freshly-joined sender `r` into `order` at its sorted
@@ -1810,17 +1561,6 @@ impl EngineState {
         for pos in idx..self.order.len() {
             self.order_pos[self.order[pos] as usize] = pos as u32;
         }
-        // The insert shifted every later sender one slot (possibly across a
-        // bucket boundary) and added a member to the tail bucket.
-        self.mark_buckets_dirty(idx, self.order.len() - 1);
-    }
-
-    /// Marks the ready-order buckets covering positions `from ..= to` stale.
-    #[inline]
-    fn mark_buckets_dirty(&mut self, from: usize, to: usize) {
-        for b in from / WALK_BUCKET..=to / WALK_BUCKET {
-            self.bucket_dirty[b] = true;
-        }
     }
 
     fn commit<P: SelectionPolicy + ?Sized>(
@@ -1832,7 +1572,7 @@ impl EngineState {
     ) {
         let (s, r) = (sender.index(), receiver.index());
         debug_assert!(self.in_a[s] && !self.in_a[r]);
-        self.telemetry.round();
+        self.telemetry.rounds += 1;
         let n = problem.num_clusters();
         let start = self.ready[s];
         // Committed timings read the flat `tx`/`gp` copies, not the problem
@@ -1888,8 +1628,8 @@ impl EngineState {
         }
         // Incremental cache maintenance. Receivers that relied on the committed
         // sender are repaired against their cached runners-up; the few that
-        // cannot be repaired are collected and rebuilt by one shared walk in
-        // ready order (which already sees the freshly-joined sender).
+        // cannot be repaired are collected and rebuilt by a pruned walk each,
+        // in ready order (which already sees the freshly-joined sender).
         // Everyone else is offered the new sender in O(K_BEST).
         debug_assert!(self.pending.is_empty());
         // Receivers are offered in list order; the stretches between
@@ -1902,7 +1642,7 @@ impl EngineState {
         while i < b_len {
             let j = self.receivers[i];
             if self.best_sender[j as usize] == s as u32 {
-                self.telemetry.invalidation();
+                self.telemetry.invalidations += 1;
                 if self.repair_invalidated(problem, policy, j, s as u32) {
                     self.offer_run(problem, policy, i, i + 1, r as u32);
                 } else {
@@ -1945,8 +1685,6 @@ impl EngineState {
         }
         self.min_in.clear();
         self.min_in.resize(n, Time::INFINITY);
-        self.min_out.clear();
-        self.min_out.resize(n, Time::INFINITY);
         for s in 0..n {
             for r in 0..n {
                 let (gap, latency) = edge(ClusterId(s), ClusterId(r));
@@ -1955,16 +1693,10 @@ impl EngineState {
                 if want_gp {
                     self.gp.push(gap);
                 }
-                // Column and row minima (diagonal excluded — a cluster never
-                // sends to itself) feed the policies' static score offsets:
-                // columns bound receivers, rows bound senders.
-                if s != r {
-                    if t < self.min_in[r] {
-                        self.min_in[r] = t;
-                    }
-                    if t < self.min_out[s] {
-                        self.min_out[s] = t;
-                    }
+                // Column minima (diagonal excluded — a cluster never sends
+                // to itself) feed the policies' static receiver offsets.
+                if s != r && t < self.min_in[r] {
+                    self.min_in[r] = t;
                 }
             }
         }
@@ -2132,10 +1864,6 @@ impl EngineState {
         for (pos, &c) in self.order.iter().enumerate() {
             self.order_pos[c as usize] = pos as u32;
         }
-        // The rebuilt order invalidates every cached bucket minimum.
-        for dirty in self.bucket_dirty.iter_mut() {
-            *dirty = true;
-        }
         // Policy reset runs *after* the replay so per-problem caches (the
         // ECEF bias/watch arrays are built over `view.receivers()`) see the
         // surviving B, exactly as a cold run on the reduced problem would.
@@ -2149,20 +1877,12 @@ impl EngineState {
         self.score_offset.resize(n, Time::ZERO);
         self.score_post.clear();
         self.score_post.resize(n, Time::ZERO);
-        self.sender_offset.clear();
-        self.sender_offset.resize(n, Time::ZERO);
         if policy.sender_time_sensitive() {
             for i in 0..self.receivers.len() {
                 let r = self.receivers[i] as usize;
                 self.score_offset[r] =
                     policy.edge_score_offset(problem, ClusterId(r), self.min_in[r]);
                 self.score_post[r] = policy.edge_score_post_offset(problem, ClusterId(r));
-            }
-            // As with `min_in`, a crash path's `min_out` still includes edges
-            // to the failed cluster — a looser but valid sender bound.
-            for c in 0..n {
-                self.sender_offset[c] =
-                    policy.sender_score_offset(problem, ClusterId(c), self.min_out[c]);
             }
         }
         // Seed every remaining receiver's candidate row from the multi-sender
@@ -2177,7 +1897,7 @@ impl EngineState {
         // Ordinary rounds until the remaining receivers are all covered.
         while !self.receivers.is_empty() {
             let ((_, r, s), _) = self.select_full::<P, false>(problem, policy);
-            self.telemetry.recomputed_commit();
+            self.telemetry.recomputed_commits += 1;
             self.commit(
                 problem,
                 policy,
@@ -2266,7 +1986,7 @@ impl EngineState {
     /// commit stands.
     fn replay_commit(&mut self, problem: &BroadcastProblem, s: usize, r: usize) {
         let n = problem.num_clusters();
-        self.telemetry.round();
+        self.telemetry.rounds += 1;
         let start = self.ready[s];
         let arrival = start + self.tx[s * n + r];
         self.events.push(ScheduleEvent {
@@ -2376,8 +2096,7 @@ impl EngineState {
             // Moved root, altered payload, resized grid or a foreign delta:
             // nothing in the log is replayable — run cold.
             self.run(problem, policy);
-            let events = self.events.len();
-            self.telemetry.recomputed_many(events);
+            self.telemetry.recomputed_commits += self.events.len() as u64;
             return;
         }
         self.reset(problem);
@@ -2420,13 +2139,13 @@ impl EngineState {
             assert!(!self.in_a[r], "a cluster receives the message at most once");
             let s_was_clean = !self.taint[s] && !delta.is_dirty(s);
             if static_ok {
-                self.telemetry.replayed_commit();
+                self.telemetry.replayed_commits += 1;
             } else if monotone_ok {
                 let suspect = delta.is_dirty(s)
                     || (sensitive && self.taint[s])
                     || (biased && delta.is_dirty(r));
                 if !suspect {
-                    self.telemetry.replayed_commit();
+                    self.telemetry.replayed_commits += 1;
                 } else if !bias_ok {
                     diverged = true;
                     break;
@@ -2440,7 +2159,7 @@ impl EngineState {
                         diverged = true;
                         break;
                     }
-                    self.telemetry.repaired_commit();
+                    self.telemetry.repaired_commits += 1;
                 }
             } else {
                 if suspect_in_a || !checked_usable {
@@ -2482,9 +2201,9 @@ impl EngineState {
                     }
                 }
                 if verified {
-                    self.telemetry.repaired_commit();
+                    self.telemetry.repaired_commits += 1;
                 } else {
-                    self.telemetry.replayed_commit();
+                    self.telemetry.replayed_commits += 1;
                 }
             }
             self.replay_commit(problem, s, r);
@@ -2952,8 +2671,8 @@ impl ScheduleEngine {
     /// falls back to the cold path entirely when the log is incompatible
     /// (moved root, altered payload, resized grid).
     ///
-    /// Telemetry (with the `telemetry` feature) splits the rounds into
-    /// `replayed_commits` / `repaired_commits` / `recomputed_commits`.
+    /// Telemetry splits the rounds into `replayed_commits` /
+    /// `repaired_commits` / `recomputed_commits`.
     pub fn reschedule_perturbed(
         &mut self,
         problem: &BroadcastProblem,
@@ -3078,8 +2797,8 @@ impl ScheduleEngine {
         &self.state.events
     }
 
-    /// The cumulative cache telemetry of this engine. Counters only advance
-    /// when the crate is built with the `telemetry` feature.
+    /// The cumulative cache telemetry of this engine, recorded in every
+    /// build.
     pub fn telemetry(&self) -> EngineTelemetry {
         self.state.telemetry
     }
@@ -3196,20 +2915,20 @@ impl ScheduleEngine {
         // Invariant: every pending transfer has exactly one live heap entry,
         // keyed by a lower bound on its current completion (frees only grow).
         while let Some(Reverse(entry)) = heap.pop() {
-            telemetry.exchange_pop();
+            telemetry.exchange_pops += 1;
             let idx = entry.3;
             let t = &transfers[idx as usize];
             let current = key(free, t, idx);
             debug_assert!(current >= entry, "completion keys never decrease");
             if current != entry {
                 // Stale: an endpoint's interface moved since the push.
-                telemetry.exchange_reinsert();
+                telemetry.exchange_reinserts += 1;
                 heap.push(Reverse(current));
                 continue;
             }
             // Fresh minimum over lower bounds of everything pending: this is
             // the oracle's earliest-completion pick, tie-break included.
-            telemetry.exchange_commit();
+            telemetry.exchange_commits += 1;
             let start = free[t.from.index()].max(free[t.to.index()]);
             let nic_release = start + t.gap;
             let arrival = nic_release + t.latency;
@@ -3268,7 +2987,7 @@ impl ScheduleEngine {
             let mut best_slot = 0usize;
             let mut best_key = (Time::INFINITY, u32::MAX, u32::MAX, u32::MAX);
             for (slot, &idx) in remaining.iter().enumerate() {
-                telemetry.exchange_oracle_scan();
+                telemetry.exchange_oracle_scans += 1;
                 let t = &set.transfers[idx as usize];
                 let start = free[t.from.index()].max(free[t.to.index()]);
                 let completion = start + t.gap + t.latency;
@@ -3539,7 +3258,6 @@ mod tests {
 
     /// An unperturbed replay is a pure prefix replay: every commit verbatim,
     /// nothing repaired, nothing recomputed.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn clean_replay_replays_every_commit_verbatim() {
         let grid = random_grid_for(17, 21);
@@ -4020,7 +3738,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counts_are_consistent() {
         let mut engine = ScheduleEngine::new();

@@ -74,19 +74,6 @@ impl SelectionPolicy for BottomUpPolicy {
         problem.intra_time(receiver)
     }
 
-    fn sender_score_offset(
-        &self,
-        _problem: &BroadcastProblem,
-        _sender: ClusterId,
-        min_outgoing_transfer: Time,
-    ) -> Time {
-        // The completion estimate is `fl(RT_i + (g + L))` with
-        // `g + L >= min_outgoing`, and the intra time is added after that
-        // rounding — exactly the engine's two-step sender bound
-        // `fl(fl(t + r_s) + d_j)`.
-        min_outgoing_transfer
-    }
-
     fn objective(&self) -> Objective {
         Objective::Maximize
     }

@@ -279,18 +279,6 @@ impl SelectionPolicy for EcefPolicy {
         min_incoming_transfer
     }
 
-    fn sender_score_offset(
-        &self,
-        _problem: &BroadcastProblem,
-        _sender: ClusterId,
-        min_outgoing_transfer: Time,
-    ) -> Time {
-        // Dual bound: the completion estimate is `fl(RT_i + (g + L))` with
-        // `g + L >= min_outgoing`, so every score this sender can produce is
-        // at least `fl(RT_i + min_outgoing)` (rounded addition is monotone).
-        min_outgoing_transfer
-    }
-
     fn receiver_bias(&mut self, view: &EngineView<'_>, receiver: ClusterId) -> Time {
         let problem = view.problem();
         match self.lookahead {

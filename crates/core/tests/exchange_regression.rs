@@ -7,11 +7,6 @@
 //! done changes). This test pins the exact telemetry on deterministic
 //! all-to-all workloads and gates the growth so such a regression turns a
 //! build red instead of a future scaling sweep.
-//!
-//! The counters exist only with the crate's `telemetry` feature, so this file
-//! compiles to nothing without it:
-//! `cargo test -p gridcast-core --features telemetry --test exchange_regression`.
-#![cfg(feature = "telemetry")]
 
 use gridcast_core::{alltoall_transfer_set, ScheduleEngine, TransferSet};
 use gridcast_plogp::MessageSize;

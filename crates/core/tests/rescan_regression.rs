@@ -9,10 +9,8 @@
 //! future timing run. 1000 clusters is the size perfbench's `batch_1000`
 //! workload times.
 //!
-//! The counters exist only with the crate's `telemetry` feature, so this file
-//! compiles to nothing without it:
-//! `cargo test -p gridcast-core --features telemetry --test rescan_regression`.
-#![cfg(feature = "telemetry")]
+//! A drift fails with every heuristic's measured row in the syntax of the
+//! pins, so one run shows all that moved, not only the first.
 
 mod common;
 
@@ -22,8 +20,8 @@ use gridcast_plogp::MessageSize;
 use gridcast_topology::ClusterId;
 
 /// One heuristic's counters: (rounds, invalidations, second-best hits,
-/// promotions, rescans, walked senders, bucket skips).
-type Work = (u64, u64, u64, u64, u64, u64, u64);
+/// promotions, rescans, walked senders).
+type Work = (u64, u64, u64, u64, u64, u64);
 
 /// Schedules every heuristic once on the seeded `clusters`-cluster grid (1 MB
 /// from cluster 0) and returns each run's counters in `HeuristicKind::all()`
@@ -61,40 +59,43 @@ fn work_on(clusters: usize) -> Vec<(HeuristicKind, EngineTelemetry)> {
 /// re-pin the numbers and state why in the change log; if rescans or walked
 /// senders grew, the k-best cache or the walk's pruning regressed.
 fn assert_work(clusters: usize, work: &[(HeuristicKind, EngineTelemetry)], expected: [Work; 7]) {
+    let mut drifted = Vec::new();
+    let mut rows = String::new();
     for ((kind, t), expected) in work.iter().zip(expected) {
-        assert_eq!(
-            (
-                t.rounds,
-                t.invalidations,
-                t.second_best_hits,
-                t.promotions,
-                t.rescans,
-                t.walked_senders,
-                t.bucket_skips
-            ),
-            expected,
-            "{kind}: cache telemetry drifted on the pinned {clusters}-cluster grid"
+        let measured: Work = (
+            t.rounds,
+            t.invalidations,
+            t.second_best_hits,
+            t.promotions,
+            t.rescans,
+            t.walked_senders,
         );
+        if measured != expected {
+            drifted.push(kind.name());
+        }
+        rows += &format!("            {measured:?}, // {kind}\n");
     }
+    assert!(
+        drifted.is_empty(),
+        "cache telemetry drifted on the pinned {clusters}-cluster grid for {drifted:?}; \
+         measured rows:\n{rows}"
+    );
 }
 
 #[test]
 fn rescan_counts_are_pinned_on_the_100_cluster_grid() {
     let work = work_on(100);
-    // Bucket skips are rare at 100 clusters — the walk covers only four
-    // 32-sender buckets and usually retires on the in-bucket bound first —
-    // but pinning the counter keeps the skip path exercised.
     assert_work(
         100,
         &work,
         [
-            (99, 0, 0, 0, 0, 0, 0),            // Flat Tree (time-insensitive)
-            (99, 0, 0, 0, 0, 0, 0),            // FEF (time-insensitive)
-            (99, 732, 204, 273, 255, 6414, 0), // ECEF
-            (99, 728, 197, 261, 270, 6379, 0), // ECEF-LA
-            (99, 771, 200, 271, 300, 6376, 1), // ECEF-LAT
-            (99, 832, 177, 310, 345, 6795, 0), // ECEF-LAt
-            (99, 877, 122, 327, 428, 7323, 3), // BottomUp
+            (99, 0, 0, 0, 0, 0),            // Flat Tree (time-insensitive)
+            (99, 0, 0, 0, 0, 0),            // FEF (time-insensitive)
+            (99, 732, 204, 273, 255, 6414), // ECEF
+            (99, 728, 197, 261, 270, 6379), // ECEF-LA
+            (99, 771, 200, 271, 300, 6377), // ECEF-LAT
+            (99, 832, 177, 310, 345, 6795), // ECEF-LAt
+            (99, 877, 122, 327, 428, 7326), // BottomUp
         ],
     );
 
@@ -125,13 +126,13 @@ fn rescan_counts_are_pinned_on_the_1000_cluster_grid() {
         1000,
         &work,
         [
-            (999, 0, 0, 0, 0, 0, 0),                       // Flat Tree
-            (999, 0, 0, 0, 0, 0, 0),                       // FEF
-            (999, 19755, 2249, 7222, 10284, 1046218, 53),  // ECEF
-            (999, 19148, 2260, 6922, 9966, 992056, 5),     // ECEF-LA
-            (999, 23654, 2133, 8800, 12721, 988841, 107),  // ECEF-LAT
-            (999, 23665, 2160, 8813, 12692, 1001725, 118), // ECEF-LAt
-            (999, 25245, 1221, 9307, 14717, 854107, 160),  // BottomUp
+            (999, 0, 0, 0, 0, 0),                     // Flat Tree
+            (999, 0, 0, 0, 0, 0),                     // FEF
+            (999, 19755, 2249, 7222, 10284, 1046542), // ECEF
+            (999, 19148, 2260, 6922, 9966, 992078),   // ECEF-LA
+            (999, 23654, 2133, 8800, 12721, 989142),  // ECEF-LAT
+            (999, 23665, 2160, 8813, 12692, 1002124), // ECEF-LAt
+            (999, 25245, 1221, 9307, 14717, 854439),  // BottomUp
         ],
     );
 }

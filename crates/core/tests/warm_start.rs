@@ -2,8 +2,7 @@
 //! contract swept across all policies, candidate-row widths and random
 //! perturbations (single links, whole sites, moved roots) up to 128
 //! clusters, plus exact replay-telemetry pins on the acceptance-scale
-//! 100-cluster grid (those read the engine counters, so they run only with
-//! the crate's `telemetry` feature).
+//! 100-cluster grid.
 
 mod common;
 
@@ -160,7 +159,6 @@ fn every_policy_and_k_replays_the_acceptance_grid() {
 /// deterministic function of the replay regimes (gap-blind policies replay
 /// everything verbatim, monotone policies repair suspects in place, checked
 /// policies recompute from the first commit that exposes dirty state).
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_pins_on_the_acceptance_grid() {
     let grid = random_grid(100, 0);

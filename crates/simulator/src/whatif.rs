@@ -156,9 +156,8 @@ pub struct WhatIfRunner<'a> {
 }
 
 /// Warm-start replay counters summed over every worker engine of one sweep.
-/// The counters mirror
-/// [`gridcast_core::EngineTelemetry`] and stay all-zero when the core's
-/// `telemetry` feature is compiled out or the runner is cold.
+/// The counters mirror [`gridcast_core::EngineTelemetry`] and stay all-zero
+/// when the runner is cold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartTelemetry {
     /// Commits replayed verbatim from a baseline commit log.
@@ -295,7 +294,7 @@ impl<'a> WhatIfRunner<'a> {
 
     /// Like [`WhatIfRunner::run`], additionally returning the summed
     /// warm-start telemetry of every worker engine (all zeros when the
-    /// runner is cold or the core's `telemetry` feature is off).
+    /// runner is cold).
     pub fn run_with_telemetry(
         &self,
         scenarios: &[Scenario],
@@ -861,7 +860,6 @@ mod tests {
     /// come from that pass, so a second run of the winner would add 99 per
     /// scenario. The split must not depend on the worker count, and neither
     /// may the reports.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn warm_sweep_reports_replay_telemetry() {
         const CLUSTERS: usize = 100;

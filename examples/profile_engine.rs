@@ -2,14 +2,12 @@
 //!
 //! ```text
 //! cargo run --release --example profile_engine [clusters]
-//! cargo run --release --example profile_engine --features gridcast-core/telemetry [clusters]
 //! ```
 //!
 //! Timings on shared machines are noisy; every number printed here is a
 //! minimum over several repeats, which is the best estimator of true cost
 //! under external interference. The engine counters printed next to each
-//! heuristic are those of one run; they are recorded only in a build with
-//! the core crate's `telemetry` feature (the second command).
+//! heuristic are those of one run.
 
 use gridcast::core::{EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
 use gridcast::prelude::*;
@@ -31,7 +29,6 @@ fn main() {
     let _ = engine.makespan(&problem, HeuristicKind::Ecef);
     engine.take_telemetry();
 
-    let mut counted = false;
     for kind in HeuristicKind::all() {
         let mut best = f64::INFINITY;
         // Every run schedules the same problem, so each run's counters are
@@ -43,19 +40,7 @@ fn main() {
             best = best.min(start.elapsed().as_secs_f64() * 1e3);
             t = engine.take_telemetry();
         }
-        let counters = if t == EngineTelemetry::default() {
-            String::new()
-        } else {
-            counted = true;
-            format!("  {t:?}")
-        };
-        println!("{:>10}: {best:>10.2} ms (min of 5){counters}", kind.name());
-    }
-    if !counted {
-        println!(
-            "the engine counters read zero: they are recorded only with \
-             `cargo run --release --example profile_engine --features gridcast-core/telemetry`"
-        );
+        println!("{:>10}: {best:>10.2} ms (min of 5)  {t:?}", kind.name());
     }
 
     println!("default K: {DEFAULT_K_BEST}");
