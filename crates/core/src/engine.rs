@@ -939,7 +939,6 @@ struct EngineState {
     score_post: Vec<Time>,
     /// The rescan walk's top `K_BEST + 1` buffer, reused per pending receiver.
     tops: Vec<(Time, u32)>,
-    topn: Vec<u32>,
     /// Scratch for makespan computation without building a [`Schedule`].
     arrival: Vec<Time>,
     busy: Vec<Time>,
@@ -1036,9 +1035,7 @@ impl EngineState {
             "prepare_tx must run before the round loop"
         );
         self.tops.clear();
-        self.tops.reserve(n * (k + 1));
-        self.topn.clear();
-        self.topn.reserve(n);
+        self.tops.reserve(k + 1);
     }
 
     fn init_caches<P: SelectionPolicy + ?Sized>(

@@ -1,50 +1,55 @@
-//! The unified discrete-event execution core.
+//! The simulator's one discrete-event loop.
 //!
-//! Earlier revisions carried two hand-rolled executors — a broadcast path
-//! that resolved each machine's forwards analytically at arrival time, and a
-//! staged path that queued explicit attempt events for gated, payload-sized
-//! sends — each duplicating the interface-occupancy and wide-area-channel
-//! bookkeeping. They are now one machine: a monotonic event queue (a
-//! [`BinaryHeap`] over `(Time, seq)` with deterministic FIFO tie-breaking)
-//! plus per-machine interface and per-pair wide-area channel resources, onto
-//! which **plain sends, sized sends, release gates and local gather/scatter
-//! stages are all lowered as the same two event kinds**:
+//! Every executor lowers its plan onto `execute_events`: a monotonic event
+//! queue (a [`BinaryHeap`] over `(Time, seq)` with deterministic FIFO
+//! tie-breaking) plus per-machine interface and per-pair wide-area channel
+//! resources. A lowering pairs an `EventProgram` (per machine, an ordered
+//! list of [`SizedSend`]s, plus the execution mode) with a `Transport` (what
+//! becomes of each transmission):
 //!
-//! * `Attempt` — a machine tries to start its next pending send;
-//!   if any required resource (its interface, the destination's interface in
-//!   the single-port model, a wide-area channel, a release time) is not yet
-//!   available, the attempt re-queues at the earliest time they all are.
-//!   Constraints only move forward, so the retry converges.
-//! * `Arrival` — a payload lands; gates open, reception times
-//!   update, and the receiving machine's next send is considered.
+//! * [`execute_plan_with_sink`] runs a [`SendPlan`] over the reliable
+//!   transport: every send carries the broadcast message, is gated on the
+//!   machine's first arrival, and occupies the **sender's** interface only (a
+//!   receiving NIC can accept while sending — the full-duplex broadcast model
+//!   the Figure 5/6 reproduction was validated under);
+//! * [`execute_sized_plan_with_sink`] runs a [`SizedSendPlan`] over the
+//!   reliable transport: per-send payloads, `not_before`/`after_arrivals`
+//!   release gates, and **both-endpoint** interface occupancy (the
+//!   single-port model of `ScheduleEngine::schedule_transfers`, which makes
+//!   engine-predicted exchange makespans reproducible node-level);
+//! * [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults)
+//!   runs a [`SendPlan`], lowered as by the first, over the faulty transport
+//!   of [`crate::faults`].
 //!
-//! The two public executors differ only in how a plan is *lowered* (an
-//! `EventProgram`):
+//! Programs and transports are monomorphised per caller, so the fault-free
+//! runs pay no branch or lookup for the hook. The queue carries four kinds
+//! of event:
 //!
-//! * [`execute_plan_with_sink`] lowers a [`SendPlan`]: every send carries
-//!   the broadcast message, is gated on the machine's first arrival, and
-//!   occupies the **sender's** interface only (a receiving NIC can accept
-//!   while sending — the full-duplex broadcast model the Figure 5/6
-//!   reproduction was validated under);
-//! * [`execute_sized_plan_with_sink`] lowers a [`SizedSendPlan`]: per-send
-//!   payloads, `not_before`/`after_arrivals` release gates, and **both-endpoint**
-//!   interface occupancy (the single-port model of
-//!   `ScheduleEngine::schedule_transfers`, which makes engine-predicted
-//!   exchange makespans reproducible node-level).
+//! * `Attempt`: a machine tries to start its next pending send. If any
+//!   required resource (its interface, the destination's interface in the
+//!   single-port model, a wide-area channel, a release time, a link that is
+//!   down) is not yet available, the attempt re-queues at the earliest time
+//!   they all are. Constraints only move forward, so the retry converges.
+//! * `Arrival`: a copy lands; gates open, reception times update, and the
+//!   receiving machine's next send is considered.
+//! * `Timeout` and `Crash`, which only the faulty transport causes: a lost
+//!   copy's retry timer expires, and a machine dies (a trace mark; who is
+//!   alive is read from the transport, so same-instant order cannot change
+//!   it).
 //!
 //! The queue's clock is **monotone by construction and by an always-on
 //! check**: no event may be scheduled before the current simulated time. A
 //! violation (the INF-arithmetic class of bug where a corrupted time would
 //! silently reorder the simulation) is a structured
-//! [`SimError::ClockRegression`] from the fallible entry points
-//! ([`try_execute_plan_with_sink`], [`execute_sized_plan_with_sink`]) and
-//! a panic from [`execute_plan_with_sink`] — never silent corruption, in any
-//! build profile. Every [`TraceEvent`] therefore reaches the [`TraceSink`] in
+//! [`SimError::ClockRegression`] from the fallible entry points and a panic
+//! from [`execute_plan_with_sink`] — never silent corruption, in any build
+//! profile. Every [`TraceEvent`] therefore reaches the [`TraceSink`] in
 //! non-decreasing time order — which is what lets traces stream instead of
 //! accumulating — and the fallible entry points additionally surface the
 //! sink's own I/O failures as [`SimError::Trace`].
 
 use crate::error::SimError;
+use crate::faults::NodeCrash;
 use crate::network::NodeNetwork;
 use crate::outcome::SimulationOutcome;
 use crate::plan::{SendPlan, SizedSend, SizedSendPlan};
@@ -55,44 +60,28 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An event waiting in the simulation queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
-    /// A payload arriving at a machine.
-    Arrival { from: NodeId, to: NodeId },
     /// A machine attempting to start its next pending send.
     Attempt { node: NodeId },
+    /// A copy arriving at a machine.
+    Arrival { from: NodeId, to: NodeId },
+    /// The retry timer of a lost copy expires; `send` indexes the sender's
+    /// forward list.
+    Timeout { node: NodeId, send: u32 },
+    /// A machine dies (a trace mark).
+    Crash { node: NodeId },
 }
 
-/// An event with a deterministic `(time, seq)` total order. The kind is
-/// opaque to the ordering, so one queue serves both the fault-free programs
-/// (`EventKind`) and the fault executor's richer vocabulary.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Event<K> {
-    pub(crate) time: Time,
+/// An event, ordered by `(time, seq)`: `seq` is unique per queue, so the
+/// kind never decides the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Event {
+    time: Time,
     /// Monotonic sequence number breaking ties deterministically (FIFO order
     /// for simultaneous events).
-    pub(crate) seq: u64,
-    pub(crate) kind: K,
-}
-
-impl<K> PartialEq for Event<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<K> Eq for Event<K> {}
-
-impl<K> Ord for Event<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl<K> PartialOrd for Event<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    seq: u64,
+    kind: EventKind,
 }
 
 /// The monotonic event queue: a min-heap over `(time, seq)` plus the current
@@ -104,14 +93,14 @@ impl<K> PartialOrd for Event<K> {
 /// that simulated time never flows backwards (and that the time is not NaN),
 /// returning a structured [`SimError::ClockRegression`] instead of
 /// corrupting the run.
-pub(crate) struct EventQueue<K> {
-    heap: BinaryHeap<Reverse<Event<K>>>,
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Event>>,
     now: Time,
     seq: u64,
 }
 
-impl<K> EventQueue<K> {
-    pub(crate) fn new() -> Self {
+impl EventQueue {
+    fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             now: Time::ZERO,
@@ -122,7 +111,7 @@ impl<K> EventQueue<K> {
     /// Schedules `kind` at `time`, which must not precede the current
     /// simulated time.
     #[inline]
-    pub(crate) fn push(&mut self, time: Time, kind: K) -> Result<(), SimError> {
+    fn push(&mut self, time: Time, kind: EventKind) -> Result<(), SimError> {
         if time.as_secs().is_nan() || time < self.now {
             return Err(SimError::ClockRegression {
                 scheduled: time,
@@ -137,7 +126,7 @@ impl<K> EventQueue<K> {
 
     /// Pops the next event and advances the clock to it.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Event<K>> {
+    fn pop(&mut self) -> Option<Event> {
         let event = self.heap.pop()?.0;
         debug_assert!(event.time >= self.now, "heap order is time order");
         self.now = event.time;
@@ -261,12 +250,88 @@ impl EventProgram for &SizedSendPlan {
     }
 }
 
+/// What becomes of one transmitted copy.
+pub(crate) enum Delivery {
+    /// It lands at `at`; a ghost duplicate, if any, lands at `ghost`.
+    Arrives { at: Time, ghost: Option<Time> },
+    /// It is lost; the sender's retry timer fires at `timeout`.
+    Lost { timeout: Time },
+}
+
+/// What an expired retry timer does.
+pub(crate) enum Expiry {
+    /// Nothing: the send was delivered meanwhile, or its sender died.
+    Moot,
+    /// The send is abandoned: its retry budget is spent.
+    Drop,
+    /// The send transmits again.
+    Retransmit,
+}
+
+/// The transport under the event loop: the hook through which faults enter
+/// it. Every method defaults to the reliable model, so [`Reliable`]
+/// overrides nothing and compiles away.
+pub(crate) trait Transport {
+    /// The machines that crash: the loop pushes one `Crash` mark each, at
+    /// its crash time, before the initial attempts.
+    fn crashes(&self) -> &[NodeCrash] {
+        &[]
+    }
+
+    /// Whether `node` is alive at `at`: a dead machine starts no
+    /// transmission and receives no copy.
+    #[inline]
+    fn alive(&self, _node: usize, _at: Time) -> bool {
+        true
+    }
+
+    /// The earliest instant at or after `at` at which a transmission between
+    /// the two clusters may start (applied after the wide-area wait).
+    #[inline]
+    fn link_up(&self, _src: usize, _dst: usize, at: Time) -> Time {
+        at
+    }
+
+    /// The gap of a transmission over the directed cluster link `src → dst`
+    /// that starts at `start`.
+    #[inline]
+    fn gap(&self, _src: usize, _dst: usize, _start: Time, gap: Time) -> Time {
+        gap
+    }
+
+    /// Commits a transmission of send `send` of `from`, started at `start`:
+    /// the kind of its trace record and what becomes of the copy.
+    #[inline]
+    fn transmit(
+        &mut self,
+        _from: NodeId,
+        _send: usize,
+        _to: NodeId,
+        start: Time,
+        gap: Time,
+        latency: Time,
+    ) -> (TraceKind, Delivery) {
+        let at = start + gap + latency;
+        (TraceKind::SendStart, Delivery::Arrives { at, ghost: None })
+    }
+
+    /// The retry timer of send `send` of `node` expired at `now`.
+    fn expire(&mut self, _node: usize, _send: usize, _now: Time) -> Expiry {
+        Expiry::Moot
+    }
+}
+
+/// The reliable transport: every copy lands `g + L` after its start.
+pub(crate) struct Reliable;
+
+impl Transport for Reliable {}
+
 /// Shared wide-area path occupancy per unordered cluster pair: each pair
 /// offers `wan_concurrency` channels at full per-flow rate; transfers beyond
 /// that serialise on the earliest-free channel. One definition serves every
 /// lowered plan, so the broadcast and personalised paths can never simulate
 /// different contention models for the same grid.
-pub(crate) struct WanChannels {
+struct WanChannels {
     /// Flat `[pair][channel]` free times (stride `concurrency`), indexed by
     /// the unordered pair `{lo, hi}`.
     free: Vec<Time>,
@@ -275,7 +340,7 @@ pub(crate) struct WanChannels {
 }
 
 impl WanChannels {
-    pub(crate) fn new(network: &NodeNetwork) -> Self {
+    fn new(network: &NodeNetwork) -> Self {
         let num_clusters = network.grid().num_clusters();
         let concurrency = network.wan_concurrency();
         WanChannels {
@@ -295,7 +360,7 @@ impl WanChannels {
     /// The earliest-free channel of the unordered pair `{a, b}`: its free
     /// time and its slot (first minimal slot, deterministically).
     #[inline]
-    pub(crate) fn earliest(&self, a: usize, b: usize) -> (Time, usize) {
+    fn earliest(&self, a: usize, b: usize) -> (Time, usize) {
         let range = self.pair_range(a, b);
         let base = range.start;
         let mut best = Time::INFINITY;
@@ -310,7 +375,7 @@ impl WanChannels {
     }
 
     #[inline]
-    pub(crate) fn occupy(&mut self, slot: usize, until: Time) {
+    fn occupy(&mut self, slot: usize, until: Time) {
         self.free[slot] = until;
     }
 }
@@ -318,7 +383,7 @@ impl WanChannels {
 /// Executes a [`SendPlan`] over a [`NodeNetwork`] for a message of size `m`,
 /// starting at time `start_offset` (used to account for scheduling overhead).
 ///
-/// Semantics (the broadcast lowering of the unified event core):
+/// Semantics (the broadcast lowering of the event core):
 ///
 /// * the source holds the message at `start_offset`,
 /// * when a machine holds the message it issues the forwards listed in its
@@ -339,11 +404,10 @@ impl WanChannels {
 ///
 /// `sink` observes the [`TraceEvent`] stream in non-decreasing time order:
 /// [`NullSink`](crate::trace::NullSink) drops it, a `Vec<TraceEvent>` retains
-/// it, and the other sinks count or stream it.
+/// it, and the other sinks count or stream it. A sink's write error stays in
+/// the sink (check [`StreamingSink::finish`](crate::StreamingSink::finish)).
 ///
-/// Panics on a clock-regression violation (impossible for well-formed plans;
-/// use [`try_execute_plan_with_sink`] to get a structured [`SimError`]
-/// instead, including the sink's own I/O failures).
+/// Panics on a clock-regression violation (impossible for well-formed plans).
 pub fn execute_plan_with_sink<S: TraceSink>(
     network: &NodeNetwork,
     plan: &SendPlan,
@@ -354,41 +418,18 @@ pub fn execute_plan_with_sink<S: TraceSink>(
     execute_events(
         network,
         &BroadcastProgram { plan, message: m },
+        &mut Reliable,
         start_offset,
         sink,
     )
     .unwrap_or_else(|e| panic!("simulation invariant violated: {e}"))
 }
 
-/// The fallible sibling of [`execute_plan_with_sink`]: a clock-regression
-/// violation (the always-on monotonicity invariant) returns
-/// [`SimError::ClockRegression`], and a trace sink whose writer failed
-/// mid-stream returns [`SimError::Trace`] after the drain instead of
-/// discarding the I/O error.
-pub fn try_execute_plan_with_sink<S: TraceSink>(
-    network: &NodeNetwork,
-    plan: &SendPlan,
-    m: MessageSize,
-    start_offset: Time,
-    sink: &mut S,
-) -> Result<SimulationOutcome, SimError> {
-    let outcome = execute_events(
-        network,
-        &BroadcastProgram { plan, message: m },
-        start_offset,
-        sink,
-    )?;
-    if let Some(e) = sink.take_error() {
-        return Err(SimError::Trace(e));
-    }
-    Ok(outcome)
-}
-
 /// Executes a [`SizedSendPlan`] — the node-level
 /// realisation of the personalised patterns, where every send carries its own
 /// payload and release gates.
 ///
-/// Semantics (the conformance-grade lowering of the unified event core):
+/// Semantics (the conformance-grade lowering of the event core):
 ///
 /// * a machine issues its forwards **in order**; each waits for its
 ///   [`after_arrivals`](crate::plan::SizedSend::after_arrivals) gate (number
@@ -426,17 +467,156 @@ pub fn execute_sized_plan_with_sink<S: TraceSink>(
     start_offset: Time,
     sink: &mut S,
 ) -> Result<SimulationOutcome, SimError> {
-    let outcome = execute_events(network, &plan, start_offset, sink)?;
-    if let Some(e) = sink.take_error() {
-        return Err(SimError::Trace(e));
-    }
-    Ok(outcome)
+    execute_checked(network, &plan, &mut Reliable, start_offset, sink)
 }
 
-/// The one discrete-event loop behind both executors.
-fn execute_events<P: EventProgram, S: TraceSink>(
+/// The broadcast lowering of a [`SendPlan`] over any transport, as a fallible
+/// entry point: the fault executor's run.
+pub(crate) fn execute_broadcast<T: Transport, S: TraceSink>(
+    network: &NodeNetwork,
+    plan: &SendPlan,
+    m: MessageSize,
+    start_offset: Time,
+    transport: &mut T,
+    sink: &mut S,
+) -> Result<SimulationOutcome, SimError> {
+    let program = BroadcastProgram { plan, message: m };
+    execute_checked(network, &program, transport, start_offset, sink)
+}
+
+/// The fallible entry points' run: the event loop, then the sink's pending
+/// write error, taken (so it is reported once) and returned as
+/// [`SimError::Trace`].
+fn execute_checked<P: EventProgram, T: Transport, S: TraceSink>(
     network: &NodeNetwork,
     program: &P,
+    transport: &mut T,
+    start_offset: Time,
+    sink: &mut S,
+) -> Result<SimulationOutcome, SimError> {
+    let outcome = execute_events(network, program, transport, start_offset, sink)?;
+    match sink.take_error() {
+        Some(e) => Err(SimError::Trace(e)),
+        None => Ok(outcome),
+    }
+}
+
+/// The machines, resources and queue of one run: what starting a send
+/// touches.
+struct Run<'a, P, T, S> {
+    network: &'a NodeNetwork,
+    program: &'a P,
+    transport: &'a mut T,
+    sink: &'a mut S,
+    queue: EventQueue,
+    wan: WanChannels,
+    /// Interface free times; `start_offset` models the pre-simulation phase
+    /// (e.g. scheduling overhead) during which no machine may transmit.
+    nic_free: Vec<Time>,
+    arrivals: Vec<u32>,
+    cursor: Vec<usize>,
+    attempt_pending: Vec<bool>,
+    messages: usize,
+}
+
+impl<P: EventProgram, T: Transport, S: TraceSink> Run<'_, P, T, S> {
+    /// Schedules the next gated-and-ready send of `node`, if any. The
+    /// attempt is queued at the earliest time the sender itself could start;
+    /// destination-interface, wide-area and link constraints are resolved
+    /// when the attempt fires. A dead machine stays silent.
+    fn advance(&mut self, node: usize, now: Time) -> Result<(), SimError> {
+        if self.attempt_pending[node] || self.cursor[node] >= self.program.num_sends(node) {
+            return Ok(());
+        }
+        let send = self.program.send(node, self.cursor[node]);
+        if self.arrivals[node] < send.after_arrivals || !self.transport.alive(node, now) {
+            return Ok(());
+        }
+        let at = now.max(self.nic_free[node]).max(send.not_before);
+        self.attempt_pending[node] = true;
+        self.queue.push(
+            at,
+            EventKind::Attempt {
+                node: NodeId(node as u32),
+            },
+        )
+    }
+
+    /// Tries to start send `k` of `node` at `now`. If a resource is busy,
+    /// returns the earliest time all are free (the caller re-queues its own
+    /// event there). Otherwise the send starts: it occupies its resources,
+    /// is traced, and its copy's arrival (with any ghost) or retry timer is
+    /// queued.
+    fn transmit(&mut self, node: usize, k: usize, now: Time) -> Result<Option<Time>, SimError> {
+        let from = NodeId(node as u32);
+        let send = self.program.send(node, k);
+        let src_cluster = self.network.cluster_of(from).index();
+        let dst_cluster = self.network.cluster_of(send.to).index();
+        // The earliest feasible start given everything committed so far;
+        // constraints only move forward, so re-queueing at this time
+        // converges.
+        let mut earliest = now.max(self.nic_free[node]).max(send.not_before);
+        let both = self.program.occupancy() == Occupancy::BothEndpoints;
+        if both {
+            earliest = earliest.max(self.nic_free[send.to.index()]);
+        }
+        let channel_slot = if src_cluster != dst_cluster {
+            let (free, slot) = self.wan.earliest(src_cluster, dst_cluster);
+            earliest = earliest.max(free);
+            Some(slot)
+        } else {
+            None
+        };
+        earliest = self.transport.link_up(src_cluster, dst_cluster, earliest);
+        if earliest > now {
+            return Ok(Some(earliest));
+        }
+        let gap = self.network.gap(from, send.to, send.payload);
+        let gap = self.transport.gap(src_cluster, dst_cluster, now, gap);
+        let release = now + gap;
+        self.nic_free[node] = release;
+        if both {
+            self.nic_free[send.to.index()] = release;
+        }
+        if let Some(slot) = channel_slot {
+            self.wan.occupy(slot, release);
+        }
+        let latency = self.network.latency(from, send.to);
+        let (kind, delivery) = self.transport.transmit(from, k, send.to, now, gap, latency);
+        if self.sink.enabled() {
+            self.sink.record(TraceEvent {
+                kind,
+                time: now,
+                from,
+                to: send.to,
+            });
+        }
+        let arrival = EventKind::Arrival { from, to: send.to };
+        match delivery {
+            Delivery::Arrives { at, ghost } => {
+                self.queue.push(at, arrival)?;
+                if let Some(ghost) = ghost {
+                    self.queue.push(ghost, arrival)?;
+                }
+            }
+            Delivery::Lost { timeout } => self.queue.push(
+                timeout,
+                EventKind::Timeout {
+                    node: from,
+                    send: k as u32,
+                },
+            )?,
+        }
+        self.messages += 1;
+        Ok(None)
+    }
+}
+
+/// The one discrete-event loop behind every executor.
+fn execute_events<P: EventProgram, T: Transport, S: TraceSink>(
+    network: &NodeNetwork,
+    program: &P,
+    transport: &mut T,
     start_offset: Time,
     sink: &mut S,
 ) -> Result<SimulationOutcome, SimError> {
@@ -447,160 +627,114 @@ fn execute_events<P: EventProgram, S: TraceSink>(
         "plan covers {} machines but the network has {n}",
         program.num_nodes()
     );
-    let occupancy = program.occupancy();
-    let reception = program.reception();
-    let source = program.source();
-
-    let mut wan = WanChannels::new(network);
-    // Interface free times; `start_offset` models the pre-simulation phase
-    // (e.g. scheduling overhead) during which no machine may transmit.
-    let mut nic_free = vec![start_offset; n];
-    let mut arrivals = vec![0u32; n];
-    let mut cursor = vec![0usize; n];
-    let mut attempt_pending = vec![false; n];
+    let mut run = Run {
+        network,
+        program,
+        transport,
+        sink,
+        queue: EventQueue::new(),
+        wan: WanChannels::new(network),
+        nic_free: vec![start_offset; n],
+        arrivals: vec![0u32; n],
+        cursor: vec![0usize; n],
+        attempt_pending: vec![false; n],
+        messages: 0,
+    };
     // Reception bookkeeping for both semantics; the unused half costs two
     // vectors, which keeps the loop free of per-mode branches.
     let mut first_arrival = vec![Time::INFINITY; n];
     let mut last_arrival = vec![start_offset; n];
     let mut received_any = vec![false; n];
-    let mut queue = EventQueue::new();
-    let mut messages = 0usize;
     let mut events_processed = 0usize;
 
-    // Schedules the next gated-and-ready forward of `node`, if any. The
-    // attempt is queued at the earliest time the sender itself could start;
-    // destination-interface and wide-area constraints are resolved when the
-    // attempt fires.
-    let advance = |node: usize,
-                   now: Time,
-                   cursor: &[usize],
-                   arrivals: &[u32],
-                   attempt_pending: &mut [bool],
-                   nic_free: &[Time],
-                   queue: &mut EventQueue<EventKind>|
-     -> Result<(), SimError> {
-        if attempt_pending[node] || cursor[node] >= program.num_sends(node) {
-            return Ok(());
-        }
-        let send = program.send(node, cursor[node]);
-        if arrivals[node] < send.after_arrivals {
-            return Ok(());
-        }
-        let at = now.max(nic_free[node]).max(send.not_before);
-        attempt_pending[node] = true;
-        queue.push(
-            at,
-            EventKind::Attempt {
-                node: NodeId(node as u32),
-            },
-        )
-    };
-
+    // Crash marks first (they are known up front), then the initial
+    // attempts: at equal instants a crash is traced before any send.
+    for c in run.transport.crashes() {
+        run.queue
+            .push(c.at.max(Time::ZERO), EventKind::Crash { node: c.node })?;
+    }
     for node in 0..n {
-        advance(
-            node,
-            start_offset,
-            &cursor,
-            &arrivals,
-            &mut attempt_pending,
-            &nic_free,
-            &mut queue,
-        )?;
+        run.advance(node, start_offset)?;
     }
 
-    while let Some(event) = queue.pop() {
+    while let Some(event) = run.queue.pop() {
+        let now = event.time;
         match event.kind {
             EventKind::Attempt { node } => {
                 let idx = node.index();
-                let send = program.send(idx, cursor[idx]);
-                let src_cluster = network.cluster_of(node).index();
-                let dst_cluster = network.cluster_of(send.to).index();
-                let gap = network.gap(node, send.to, send.payload);
-                // The earliest feasible start given everything committed so
-                // far; constraints only move forward, so re-queueing at this
-                // time converges.
-                let mut earliest = event.time.max(nic_free[idx]).max(send.not_before);
-                if occupancy == Occupancy::BothEndpoints {
-                    earliest = earliest.max(nic_free[send.to.index()]);
-                }
-                let channel_slot = if src_cluster != dst_cluster {
-                    let (free, slot) = wan.earliest(src_cluster, dst_cluster);
-                    earliest = earliest.max(free);
-                    Some(slot)
-                } else {
-                    None
-                };
-                if earliest > event.time {
-                    queue.push(earliest, event.kind)?;
+                if !run.transport.alive(idx, now) {
+                    // The sender died while this attempt was queued; its
+                    // remaining sends stay unsent.
+                    run.attempt_pending[idx] = false;
                     continue;
                 }
-                let start = event.time;
-                let release = start + gap;
-                nic_free[idx] = release;
-                if occupancy == Occupancy::BothEndpoints {
-                    nic_free[send.to.index()] = release;
+                match run.transmit(idx, run.cursor[idx], now)? {
+                    Some(at) => run.queue.push(at, event.kind)?,
+                    None => {
+                        run.cursor[idx] += 1;
+                        run.attempt_pending[idx] = false;
+                        run.advance(idx, now)?;
+                    }
                 }
-                if let Some(slot) = channel_slot {
-                    wan.occupy(slot, release);
-                }
-                let arrival = release + network.latency(node, send.to);
-                if sink.enabled() {
-                    sink.record(TraceEvent {
-                        kind: TraceKind::SendStart,
-                        time: start,
-                        from: node,
-                        to: send.to,
-                    });
-                }
-                queue.push(
-                    arrival,
-                    EventKind::Arrival {
-                        from: node,
-                        to: send.to,
-                    },
-                )?;
-                messages += 1;
-                cursor[idx] += 1;
-                attempt_pending[idx] = false;
-                advance(
-                    idx,
-                    start,
-                    &cursor,
-                    &arrivals,
-                    &mut attempt_pending,
-                    &nic_free,
-                    &mut queue,
-                )?;
             }
             EventKind::Arrival { from, to } => {
                 events_processed += 1;
-                if sink.enabled() {
-                    sink.record(TraceEvent {
+                let idx = to.index();
+                if !run.transport.alive(idx, now) {
+                    // A copy (e.g. a ghost) crossing the crash instant: the
+                    // dead NIC receives nothing.
+                    continue;
+                }
+                if run.sink.enabled() {
+                    run.sink.record(TraceEvent {
                         kind: TraceKind::Arrival,
-                        time: event.time,
+                        time: now,
                         from,
                         to,
                     });
                 }
-                let idx = to.index();
-                arrivals[idx] += 1;
+                run.arrivals[idx] += 1;
                 received_any[idx] = true;
-                first_arrival[idx] = first_arrival[idx].min(event.time);
-                last_arrival[idx] = last_arrival[idx].max(event.time);
-                advance(
-                    idx,
-                    event.time,
-                    &cursor,
-                    &arrivals,
-                    &mut attempt_pending,
-                    &nic_free,
-                    &mut queue,
-                )?;
+                first_arrival[idx] = first_arrival[idx].min(now);
+                last_arrival[idx] = last_arrival[idx].max(now);
+                run.advance(idx, now)?;
+            }
+            EventKind::Timeout { node, send } => {
+                let (idx, k) = (node.index(), send as usize);
+                match run.transport.expire(idx, k, now) {
+                    Expiry::Moot => {}
+                    Expiry::Drop => {
+                        if run.sink.enabled() {
+                            run.sink.record(TraceEvent {
+                                kind: TraceKind::Drop,
+                                time: now,
+                                from: node,
+                                to: program.send(idx, k).to,
+                            });
+                        }
+                    }
+                    Expiry::Retransmit => {
+                        if let Some(at) = run.transmit(idx, k, now)? {
+                            run.queue.push(at, event.kind)?;
+                        }
+                    }
+                }
+            }
+            EventKind::Crash { node } => {
+                if run.sink.enabled() {
+                    run.sink.record(TraceEvent {
+                        kind: TraceKind::Crash,
+                        time: now,
+                        from: node,
+                        to: node,
+                    });
+                }
             }
         }
     }
 
-    let receive_times: Vec<Time> = match reception {
+    let source = program.source();
+    let receive_times: Vec<Time> = match program.reception() {
         Reception::First => (0..n)
             .map(|i| {
                 if i == source.index() {
@@ -616,10 +750,10 @@ fn execute_events<P: EventProgram, S: TraceSink>(
             // A machine with unissued forwards at drain time is starved — its
             // gate never opened. Propagate loudly instead of reporting
             // success.
-            let starved = (0..n).any(|i| cursor[i] < program.num_sends(i));
+            let starved = (0..n).any(|i| run.cursor[i] < program.num_sends(i));
             (0..n)
                 .map(|i| {
-                    if starved && (cursor[i] < program.num_sends(i) || !received_any[i]) {
+                    if starved && (run.cursor[i] < program.num_sends(i) || !received_any[i]) {
                         Time::INFINITY
                     } else {
                         last_arrival[i]
@@ -635,7 +769,7 @@ fn execute_events<P: EventProgram, S: TraceSink>(
     Ok(SimulationOutcome {
         completion,
         receive_times,
-        messages,
+        messages: run.messages,
         events_processed,
     })
 }
@@ -962,10 +1096,11 @@ mod tests {
     fn sink_write_failures_surface_through_the_fallible_executor() {
         let grid = grid();
         let network = NodeNetwork::new(&grid);
-        let plan = SendPlan::binomial_over_all_nodes(&grid, ClusterId(0));
-        let m = MessageSize::from_mib(1);
+        let mut plan = SizedSendPlan::empty(NodeId(0), network.num_nodes());
+        plan.push_forward(NodeId(0), NodeId(1), MessageSize::from_mib(1));
+        plan.push_forward(NodeId(0), NodeId(40), MessageSize::from_mib(1));
         let mut sink = StreamingSink::new(FailingWriter);
-        let err = try_execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut sink)
+        let err = execute_sized_plan_with_sink(&network, &plan, Time::ZERO, &mut sink)
             .expect_err("a failing writer must surface as SimError::Trace");
         match err {
             crate::error::SimError::Trace(e) => assert!(e.to_string().contains("disk full")),
@@ -978,25 +1113,14 @@ mod tests {
     }
 
     #[test]
-    fn fallible_executors_match_the_infallible_ones() {
-        let grid = grid();
-        let network = NodeNetwork::new(&grid);
-        let plan = SendPlan::binomial_over_all_nodes(&grid, ClusterId(2));
-        let m = MessageSize::from_mib(1);
-        let mut null = NullSink;
-        let plain = execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut null);
-        let tried = try_execute_plan_with_sink(&network, &plan, m, Time::ZERO, &mut null).unwrap();
-        assert_eq!(plain, tried);
-    }
-
-    #[test]
     fn the_clock_invariant_is_checked_in_every_build_profile() {
-        let mut queue: EventQueue<u32> = EventQueue::new();
-        queue.push(Time::from_millis(5.0), 0).unwrap();
+        let kind = EventKind::Attempt { node: NodeId(0) };
+        let mut queue = EventQueue::new();
+        queue.push(Time::from_millis(5.0), kind).unwrap();
         assert!(queue.pop().is_some());
         // Scheduling into the past is a structured error, not a debug-only
         // assertion.
-        let err = queue.push(Time::from_millis(1.0), 1).unwrap_err();
+        let err = queue.push(Time::from_millis(1.0), kind).unwrap_err();
         match err {
             crate::error::SimError::ClockRegression { scheduled, now } => {
                 assert_eq!(scheduled, Time::from_millis(1.0));
@@ -1006,7 +1130,7 @@ mod tests {
         }
         // NaN times (the INF−INF arithmetic class) are rejected too.
         let nan = Time::INFINITY - Time::INFINITY;
-        assert!(queue.push(nan, 2).is_err());
+        assert!(queue.push(nan, kind).is_err());
     }
 
     #[test]

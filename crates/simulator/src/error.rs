@@ -1,15 +1,15 @@
 //! Structured simulator errors.
 //!
-//! The discrete-event core used to guard its clock with a *debug* assertion:
+//! The discrete-event loop used to guard its clock with a *debug* assertion:
 //! release builds would silently reorder the simulation if INF−INF style
 //! arithmetic ever produced a corrupted time. The invariant is now checked on
 //! every push, in every build profile, and the fallible entry points
-//! ([`try_execute_plan_with_sink`](crate::engine::try_execute_plan_with_sink),
-//! [`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink),
+//! ([`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink),
 //! [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults))
 //! surface a violation as a structured [`SimError`] instead of corrupting the
-//! run. The same error path carries [`TraceSink`](crate::TraceSink) writer
-//! failures, so a streamed trace that went to a broken pipe is loud too.
+//! run. Both end their run the same way, so the same error path carries
+//! [`TraceSink`](crate::TraceSink) writer failures from each: a streamed
+//! trace that went to a broken pipe is loud too.
 
 use gridcast_plogp::Time;
 use std::fmt;

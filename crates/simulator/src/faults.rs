@@ -18,7 +18,10 @@
 //!   `delivered` table): a lost copy is retransmitted when its timeout
 //!   expires, an exhausted budget emits a [`TraceKind::Drop`] and the run
 //!   returns a loud [`Outcome::Incomplete`] naming every undelivered edge
-//!   instead of a silent infinite completion;
+//!   instead of a silent infinite completion. It has no event loop of its
+//!   own: this module's faulty transport plugs into the simulator's one
+//!   loop ([`crate::engine`]) where the fault-free runs use the reliable
+//!   one;
 //! * [`resplice_after_crash`] is the cluster-level recovery path: when a
 //!   relay dies mid-collective, the already-delivered commit prefix is kept
 //!   and the orphaned remainder is re-planned around the corpse via
@@ -35,12 +38,12 @@
 //! trip, but acks are free), flaps do not kill copies already in flight, and
 //! crashed machines never recover.
 
-use crate::engine::{EventQueue, WanChannels};
+use crate::engine::{execute_broadcast, Delivery, Expiry, Transport};
 use crate::error::SimError;
 use crate::network::NodeNetwork;
 use crate::outcome::{FaultStats, FaultySimulation, Outcome, SimulationOutcome};
 use crate::plan::SendPlan;
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::trace::{TraceKind, TraceSink};
 use gridcast_core::{BroadcastProblem, HeuristicKind, Schedule, ScheduleEngine};
 use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, NodeId};
@@ -338,192 +341,160 @@ impl RetryPolicy {
     }
 }
 
-/// The fault executor's event vocabulary: the fault-free pair plus retry
-/// timers and crash marks.
-#[derive(Debug, Clone, Copy)]
-enum FaultEventKind {
-    /// A machine attempts its next pending plan send.
-    Attempt { node: NodeId },
-    /// A retry timer for one plan send (`send` indexes the sender's forward
-    /// list) expires: retransmit if undelivered and budget remains.
-    Timeout { node: NodeId, send: u32 },
-    /// A copy lands.
-    Arrival { from: NodeId, to: NodeId },
-    /// A machine dies (trace/stat mark; the semantics use the precomputed
-    /// crash-time table so same-instant ordering cannot matter).
-    Crash { node: NodeId },
-}
-
-/// Read-only context of one faulty run.
-struct Ctx<'a> {
-    network: &'a NodeNetwork,
-    plan: &'a SendPlan,
+/// The faulty transport of the event core: a [`FaultPlan`] and a
+/// [`RetryPolicy`] applied to every transmission of a broadcast plan.
+struct Faulty<'a> {
     faults: &'a FaultPlan,
     retry: &'a RetryPolicy,
-    m: MessageSize,
     crash_time: Vec<Time>,
-}
-
-/// Mutable state of one faulty run.
-struct FaultState {
-    nic_free: Vec<Time>,
-    arrivals: Vec<u32>,
-    cursor: Vec<usize>,
-    attempt_pending: Vec<bool>,
-    first_arrival: Vec<Time>,
     /// Flat per-send tables (`send_base[node] + k`): the transmission count
     /// and the unacked/delivered cache of the retry protocol.
     send_base: Vec<usize>,
     attempts: Vec<u32>,
     delivered: Vec<bool>,
-    wan: WanChannels,
-    queue: EventQueue<FaultEventKind>,
-    messages: usize,
-    events_processed: usize,
     stats: FaultStats,
 }
 
-enum Transmit {
-    /// Resources (sender NIC, WAN channel, flap window) are busy until the
-    /// given time; the caller re-queues its own event kind there.
-    Deferred(Time),
-    /// The transmission started at the event time.
-    Started,
-}
-
-/// Tries to start transmission `entry` of `node` at `now`. On success this
-/// occupies resources, emits the trace record, rolls the fault draws and
-/// schedules either the arrival (plus a possible duplicate) or the retry
-/// timer.
-fn transmit<S: TraceSink>(
-    ctx: &Ctx<'_>,
-    st: &mut FaultState,
-    sink: &mut S,
-    node: usize,
-    entry: usize,
-    now: Time,
-) -> Result<Transmit, SimError> {
-    let from = NodeId(node as u32);
-    let to = ctx.plan.forwards[node][entry];
-    let src_cluster = ctx.network.cluster_of(from).index();
-    let dst_cluster = ctx.network.cluster_of(to).index();
-    let mut gap = ctx.network.gap(from, to, ctx.m);
-    let latency = ctx.network.latency(from, to);
-
-    let mut earliest = now.max(st.nic_free[node]);
-    let channel_slot = if src_cluster != dst_cluster {
-        let (free, slot) = st.wan.earliest(src_cluster, dst_cluster);
-        earliest = earliest.max(free);
-        Some(slot)
-    } else {
-        None
-    };
-    // A transmission cannot start while the link is down; the deferral is
-    // fault-plan state, not queue state, so it converges like any resource.
-    earliest = ctx.faults.flap_clear(src_cluster, dst_cluster, earliest);
-    if earliest > now {
-        return Ok(Transmit::Deferred(earliest));
-    }
-    // Capacity windows scale the gap of transmissions *starting* inside them;
-    // the send is committed to `now`, so the scaled gap drives both the NIC
-    // release and the retry timeout below.
-    if !ctx.faults.capacity_windows.is_empty() {
-        gap = ctx.faults.capacity_gap(src_cluster, dst_cluster, now, gap);
-    }
-
-    let flat = st.send_base[node] + entry;
-    let attempt = st.attempts[flat];
-    st.attempts[flat] = attempt + 1;
-    st.stats.attempts += 1;
-    st.messages += 1;
-    let start = now;
-    let release = start + gap;
-    st.nic_free[node] = release;
-    if let Some(slot) = channel_slot {
-        st.wan.occupy(slot, release);
-    }
-    if sink.enabled() {
-        sink.record(TraceEvent {
-            kind: if attempt == 0 {
-                TraceKind::SendStart
-            } else {
-                TraceKind::Retry
-            },
-            time: start,
-            from,
-            to,
+impl<'a> Faulty<'a> {
+    fn new(plan: &SendPlan, faults: &'a FaultPlan, retry: &'a RetryPolicy) -> Self {
+        let ends = plan.forwards.iter().scan(0, |total, forwards| {
+            *total += forwards.len();
+            Some(*total)
         });
-    }
-    if attempt > 0 {
-        st.stats.retries += 1;
-    }
-
-    let mut arrival = release + latency;
-    if ctx.faults.delay_probability > 0.0
-        && ctx.faults.unit(SALT_DELAY, from, to, attempt) < ctx.faults.delay_probability
-    {
-        arrival += ctx.faults.max_extra_delay * ctx.faults.unit(SALT_DELAY_MAG, from, to, attempt);
-    }
-    let lost =
-        ctx.faults.loss > 0.0 && ctx.faults.unit(SALT_LOSS, from, to, attempt) < ctx.faults.loss;
-    // A copy arriving at or after the receiver's crash instant is lost too —
-    // the sender cannot tell the difference and keeps retrying into the
-    // void until its budget runs out.
-    let receiver_dead = ctx.crash_time[to.index()] <= arrival;
-    if lost || receiver_dead {
-        st.stats.lost += 1;
-        let rtt = gap + latency + latency;
-        let timeout = ctx.retry.timeout(ctx.faults, from, to, attempt, rtt);
-        st.queue.push(
-            start + timeout,
-            FaultEventKind::Timeout {
-                node: from,
-                send: entry as u32,
+        let send_base: Vec<usize> = std::iter::once(0).chain(ends).collect();
+        let total_sends = send_base[plan.num_nodes()];
+        Faulty {
+            faults,
+            retry,
+            crash_time: faults.crash_times(plan.num_nodes()),
+            send_base,
+            attempts: vec![0u32; total_sends],
+            delivered: vec![false; total_sends],
+            // Every crash mark is queued up front and the queue drains, so
+            // every crash fires.
+            stats: FaultStats {
+                crashes: faults.crashes.len(),
+                ..FaultStats::default()
             },
-        )?;
-    } else {
-        st.delivered[flat] = true;
-        st.queue
-            .push(arrival, FaultEventKind::Arrival { from, to })?;
-        if ctx.faults.duplication > 0.0
-            && ctx.faults.unit(SALT_DUP, from, to, attempt) < ctx.faults.duplication
-        {
-            st.stats.duplicates += 1;
-            st.queue
-                .push(arrival + latency, FaultEventKind::Arrival { from, to })?;
         }
     }
-    Ok(Transmit::Started)
+
+    /// The loud result of a drained run: complete iff every machine was
+    /// reached, and otherwise the undelivered plan edges in plan order.
+    fn report(self, plan: &SendPlan, outcome: SimulationOutcome) -> Outcome {
+        let sim = FaultySimulation {
+            outcome,
+            stats: self.stats,
+        };
+        if sim.outcome.completion.is_finite() {
+            return Outcome::Complete(sim);
+        }
+        let mut undelivered = Vec::new();
+        for (node, forwards) in plan.forwards.iter().enumerate() {
+            for (k, &to) in forwards.iter().enumerate() {
+                if !self.delivered[self.send_base[node] + k] {
+                    undelivered.push((NodeId(node as u32), to));
+                }
+            }
+        }
+        Outcome::Incomplete {
+            undelivered,
+            partial: sim,
+        }
+    }
 }
 
-/// Schedules the next gated-and-ready plan send of `node`, mirroring the
-/// fault-free core's advance (dead machines additionally stay silent).
-fn advance(ctx: &Ctx<'_>, st: &mut FaultState, node: usize, now: Time) -> Result<(), SimError> {
-    if st.attempt_pending[node] || st.cursor[node] >= ctx.plan.forwards[node].len() {
-        return Ok(());
+impl Transport for Faulty<'_> {
+    fn crashes(&self) -> &[NodeCrash] {
+        &self.faults.crashes
     }
-    let after = u32::from(node != ctx.plan.source.index());
-    if st.arrivals[node] < after {
-        return Ok(());
+
+    fn alive(&self, node: usize, at: Time) -> bool {
+        self.crash_time[node] > at
     }
-    if ctx.crash_time[node] <= now {
-        return Ok(());
+
+    fn link_up(&self, src: usize, dst: usize, at: Time) -> Time {
+        self.faults.flap_clear(src, dst, at)
     }
-    let at = now.max(st.nic_free[node]);
-    st.attempt_pending[node] = true;
-    st.queue.push(
-        at,
-        FaultEventKind::Attempt {
-            node: NodeId(node as u32),
-        },
-    )
+
+    fn gap(&self, src: usize, dst: usize, start: Time, gap: Time) -> Time {
+        self.faults.capacity_gap(src, dst, start, gap)
+    }
+
+    fn transmit(
+        &mut self,
+        from: NodeId,
+        send: usize,
+        to: NodeId,
+        start: Time,
+        gap: Time,
+        latency: Time,
+    ) -> (TraceKind, Delivery) {
+        let faults = self.faults;
+        let flat = self.send_base[from.index()] + send;
+        let attempt = self.attempts[flat];
+        self.attempts[flat] = attempt + 1;
+        self.stats.attempts += 1;
+        let kind = if attempt == 0 {
+            TraceKind::SendStart
+        } else {
+            self.stats.retries += 1;
+            TraceKind::Retry
+        };
+        let mut arrival = start + gap + latency;
+        if faults.delay_probability > 0.0
+            && faults.unit(SALT_DELAY, from, to, attempt) < faults.delay_probability
+        {
+            arrival += faults.max_extra_delay * faults.unit(SALT_DELAY_MAG, from, to, attempt);
+        }
+        let lost = faults.loss > 0.0 && faults.unit(SALT_LOSS, from, to, attempt) < faults.loss;
+        // A copy arriving at or after the receiver's crash instant is lost too —
+        // the sender cannot tell the difference and keeps retrying into the
+        // void until its budget runs out.
+        if lost || !self.alive(to.index(), arrival) {
+            self.stats.lost += 1;
+            let rtt = gap + latency + latency;
+            let timeout = self.retry.timeout(faults, from, to, attempt, rtt);
+            return (
+                kind,
+                Delivery::Lost {
+                    timeout: start + timeout,
+                },
+            );
+        }
+        self.delivered[flat] = true;
+        let ghost = faults.duplication > 0.0
+            && faults.unit(SALT_DUP, from, to, attempt) < faults.duplication;
+        if ghost {
+            self.stats.duplicates += 1;
+        }
+        let ghost = ghost.then_some(arrival + latency);
+        (kind, Delivery::Arrives { at: arrival, ghost })
+    }
+
+    fn expire(&mut self, node: usize, send: usize, now: Time) -> Expiry {
+        let flat = self.send_base[node] + send;
+        if self.delivered[flat] || !self.alive(node, now) {
+            // Acked meanwhile (a later copy of a lost send cannot be acked —
+            // but a duplicate path may deliver), or the sender itself died:
+            // the timer is moot.
+            Expiry::Moot
+        } else if self.attempts[flat] >= self.retry.max_attempts {
+            self.stats.drops += 1;
+            Expiry::Drop
+        } else {
+            Expiry::Retransmit
+        }
+    }
 }
 
 /// Executes a [`SendPlan`] under a [`FaultPlan`] with ack/retry/timeout
 /// transport semantics.
 ///
-/// Semantics on top of [`execute_plan_with_sink`](crate::execute_plan_with_sink)
-/// (under a fault-free plan the two are bit-identical — conformance-tested):
+/// The plan is lowered onto the event core exactly as
+/// [`execute_plan_with_sink`](crate::execute_plan_with_sink) lowers it, over
+/// the faulty transport instead of the reliable one, so under a fault-free
+/// plan the two are bit-identical (conformance-tested). On top of it:
 ///
 /// * every transmission occupies its sender's interface (and, cross-cluster,
 ///   a WAN channel) for the gap **whether or not the copy survives** — lost
@@ -542,6 +513,10 @@ fn advance(ctx: &Ctx<'_>, st: &mut FaultState, node: usize, now: Time) -> Result
 ///   and otherwise a loud [`Outcome::Incomplete`] with the undelivered plan
 ///   edges in deterministic plan order.
 ///
+/// A clock-regression violation returns [`SimError::ClockRegression`], and a
+/// trace sink whose writer failed mid-stream returns [`SimError::Trace`]
+/// after the drain.
+///
 /// Determinism: the result — outcome, stats, full trace — is a pure function
 /// of the arguments. No global RNG, no wall clock, no thread count.
 pub fn execute_plan_under_faults<S: TraceSink>(
@@ -553,178 +528,13 @@ pub fn execute_plan_under_faults<S: TraceSink>(
     retry: &RetryPolicy,
     sink: &mut S,
 ) -> Result<Outcome, SimError> {
-    let n = network.num_nodes();
-    assert_eq!(
-        plan.num_nodes(),
-        n,
-        "plan covers {} machines but the network has {n}",
-        plan.num_nodes()
-    );
     assert!(
         retry.max_attempts >= 1,
         "the retry budget includes attempt 0"
     );
-    let mut send_base = Vec::with_capacity(n + 1);
-    let mut total_sends = 0usize;
-    for node in 0..n {
-        send_base.push(total_sends);
-        total_sends += plan.forwards[node].len();
-    }
-    send_base.push(total_sends);
-
-    let ctx = Ctx {
-        network,
-        plan,
-        faults,
-        retry,
-        m,
-        crash_time: faults.crash_times(n),
-    };
-    let mut st = FaultState {
-        nic_free: vec![start_offset; n],
-        arrivals: vec![0u32; n],
-        cursor: vec![0usize; n],
-        attempt_pending: vec![false; n],
-        first_arrival: vec![Time::INFINITY; n],
-        send_base,
-        attempts: vec![0u32; total_sends],
-        delivered: vec![false; total_sends],
-        wan: WanChannels::new(network),
-        queue: EventQueue::new(),
-        messages: 0,
-        events_processed: 0,
-        stats: FaultStats::default(),
-    };
-
-    // Crash marks first (they are known up front), then the initial
-    // attempts — the relative order only affects trace interleaving at
-    // equal instants, deterministically.
-    for c in &faults.crashes {
-        st.queue
-            .push(c.at.max(Time::ZERO), FaultEventKind::Crash { node: c.node })?;
-    }
-    for node in 0..n {
-        advance(&ctx, &mut st, node, start_offset)?;
-    }
-
-    while let Some(event) = st.queue.pop() {
-        let now = event.time;
-        match event.kind {
-            FaultEventKind::Attempt { node } => {
-                let idx = node.index();
-                if ctx.crash_time[idx] <= now {
-                    // The sender died while this attempt was queued; its
-                    // remaining plan sends stay unsent.
-                    st.attempt_pending[idx] = false;
-                    continue;
-                }
-                let entry = st.cursor[idx];
-                match transmit(&ctx, &mut st, sink, idx, entry, now)? {
-                    Transmit::Deferred(at) => st.queue.push(at, event.kind)?,
-                    Transmit::Started => {
-                        st.cursor[idx] += 1;
-                        st.attempt_pending[idx] = false;
-                        advance(&ctx, &mut st, idx, now)?;
-                    }
-                }
-            }
-            FaultEventKind::Timeout { node, send } => {
-                let idx = node.index();
-                let entry = send as usize;
-                let flat = st.send_base[idx] + entry;
-                if st.delivered[flat] || ctx.crash_time[idx] <= now {
-                    // Acked meanwhile (a later copy of a lost send cannot be
-                    // acked — but a duplicate path may deliver), or the
-                    // sender itself died: the timer is moot.
-                    continue;
-                }
-                if st.attempts[flat] >= ctx.retry.max_attempts {
-                    st.stats.drops += 1;
-                    if sink.enabled() {
-                        sink.record(TraceEvent {
-                            kind: TraceKind::Drop,
-                            time: now,
-                            from: node,
-                            to: ctx.plan.forwards[idx][entry],
-                        });
-                    }
-                    continue;
-                }
-                match transmit(&ctx, &mut st, sink, idx, entry, now)? {
-                    Transmit::Deferred(at) => st.queue.push(at, event.kind)?,
-                    Transmit::Started => {}
-                }
-            }
-            FaultEventKind::Arrival { from, to } => {
-                st.events_processed += 1;
-                let idx = to.index();
-                if ctx.crash_time[idx] <= now {
-                    // A copy (e.g. a duplicate) crossing the crash instant:
-                    // the dead NIC receives nothing.
-                    continue;
-                }
-                if sink.enabled() {
-                    sink.record(TraceEvent {
-                        kind: TraceKind::Arrival,
-                        time: now,
-                        from,
-                        to,
-                    });
-                }
-                st.arrivals[idx] += 1;
-                st.first_arrival[idx] = st.first_arrival[idx].min(now);
-                advance(&ctx, &mut st, idx, now)?;
-            }
-            FaultEventKind::Crash { node } => {
-                st.stats.crashes += 1;
-                if sink.enabled() {
-                    sink.record(TraceEvent {
-                        kind: TraceKind::Crash,
-                        time: now,
-                        from: node,
-                        to: node,
-                    });
-                }
-            }
-        }
-    }
-
-    let source = plan.source;
-    let receive_times: Vec<Time> = (0..n)
-        .map(|i| {
-            if i == source.index() {
-                start_offset
-            } else {
-                st.first_arrival[i]
-            }
-        })
-        .collect();
-    let completion = receive_times.iter().copied().max().unwrap_or(Time::ZERO);
-    let sim = FaultySimulation {
-        outcome: SimulationOutcome {
-            completion,
-            receive_times,
-            messages: st.messages,
-            events_processed: st.events_processed,
-        },
-        stats: st.stats,
-    };
-    if completion.is_finite() {
-        Ok(Outcome::Complete(sim))
-    } else {
-        let mut undelivered = Vec::new();
-        for node in 0..n {
-            for (k, &to) in plan.forwards[node].iter().enumerate() {
-                if !st.delivered[st.send_base[node] + k] {
-                    undelivered.push((NodeId(node as u32), to));
-                }
-            }
-        }
-        Ok(Outcome::Incomplete {
-            undelivered,
-            partial: sim,
-        })
-    }
+    let mut transport = Faulty::new(plan, faults, retry);
+    let outcome = execute_broadcast(network, plan, m, start_offset, &mut transport, sink)?;
+    Ok(transport.report(plan, outcome))
 }
 
 /// Cluster-level crash recovery: keep what the dying broadcast already
@@ -770,7 +580,7 @@ pub fn resplice_after_crash(
 mod tests {
     use super::*;
     use crate::engine::execute_plan_with_sink;
-    use crate::trace::CountingSink;
+    use crate::trace::{CountingSink, StreamingSink};
     use gridcast_topology::{grid5000_table3, Grid};
 
     fn grid() -> Grid {
@@ -851,6 +661,30 @@ mod tests {
         {
             assert_eq!(a.as_secs().to_bits(), b.as_secs().to_bits());
         }
+    }
+
+    #[test]
+    fn trace_write_failures_surface_under_faults() {
+        let grid = grid();
+        let network = NodeNetwork::new(&grid);
+        let plan = binomial(&grid);
+        // A writer with no room: its first write fails.
+        let mut full: [u8; 0] = [];
+        let mut sink = StreamingSink::new(&mut full[..]);
+        let err = execute_plan_under_faults(
+            &network,
+            &plan,
+            MessageSize::from_mib(1),
+            Time::ZERO,
+            &FaultPlan::new(1),
+            &RetryPolicy::default(),
+            &mut sink,
+        )
+        .expect_err("a failing writer must surface as SimError::Trace");
+        assert!(matches!(err, SimError::Trace(_)), "{err}");
+        // Taken, so reported once: `finish` no longer re-reports it.
+        assert_eq!(sink.written(), 0);
+        assert!(sink.finish().is_ok());
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   slices) and [`execute_sized_plan_with_sink`] prices each gap for those
 //!   bytes — the node-level realisation of the relay-capable scatter
 //!   schedules of `gridcast_core::patterns`,
-//! * both executors are **lowerings of one discrete-event core** ([`engine`]):
-//!   a monotonic event queue plus per-machine interface and per-pair
-//!   wide-area channel resources, emitting the trace in non-decreasing time
-//!   order to a caller-chosen [`TraceSink`] (drop, count, stream, or retain),
+//! * every executor is a **lowering onto one discrete-event loop**
+//!   ([`engine`]): a monotonic event queue plus per-machine interface and
+//!   per-pair wide-area channel resources, emitting the trace in
+//!   non-decreasing time order to a caller-chosen [`TraceSink`] (drop,
+//!   count, stream, or retain),
 //! * **what-if sweeps** ([`whatif`]) evaluate thousands of perturbed
 //!   scenarios — scaled links, degraded uplinks, alternate roots, dropped
 //!   relays — against one shared read-only grid on the ordered
@@ -35,8 +36,9 @@
 //!   for any thread count,
 //! * **faults are first-class events** ([`faults`]): a seeded [`FaultPlan`]
 //!   injects deterministic message loss, duplication, extra delay, link
-//!   flaps and node crashes; [`execute_plan_under_faults`] runs plans with
-//!   ack/retry/timeout transport semantics and returns a loud
+//!   flaps, capacity windows and node crashes; [`execute_plan_under_faults`]
+//!   runs plans on the same event loop over a faulty transport, with
+//!   ack/retry/timeout semantics, and returns a loud
 //!   [`Outcome::Incomplete`] (never a silent hang) when delivery is
 //!   impossible, while [`resplice_after_crash`] re-plans the orphaned
 //!   remainder of a broadcast around a dead relay, and
@@ -62,9 +64,7 @@ pub mod simulator;
 pub mod trace;
 pub mod whatif;
 
-pub use engine::{
-    execute_plan_with_sink, execute_sized_plan_with_sink, try_execute_plan_with_sink,
-};
+pub use engine::{execute_plan_with_sink, execute_sized_plan_with_sink};
 pub use error::SimError;
 pub use faults::{
     execute_plan_under_faults, resplice_after_crash, CapacityWindow, FaultPlan, LinkFlap,

@@ -84,8 +84,9 @@ pub trait TraceSink {
     }
 
     /// Takes the sink's pending I/O error, if any. The fallible executors
-    /// ([`try_execute_plan_with_sink`](crate::engine::try_execute_plan_with_sink)
-    /// and friends) call this after the event queue drains and surface the
+    /// ([`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink)
+    /// and [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults))
+    /// call this after the event queue drains and surface the
     /// error as [`SimError::Trace`](crate::SimError::Trace); sinks without a
     /// fallible backing (counting, retained, null) keep the default `None`.
     /// Taking the error clears it: for [`StreamingSink`] a subsequent
@@ -166,8 +167,9 @@ impl TraceSink for Vec<TraceEvent> {
 /// Write errors are sticky: the first failure is retained, further events are
 /// dropped, and either [`StreamingSink::finish`] or the executor surfaces it —
 /// the fallible entry points
-/// ([`try_execute_plan_with_sink`](crate::engine::try_execute_plan_with_sink)
-/// and friends) call [`TraceSink::take_error`] after the drain and return
+/// ([`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink)
+/// and [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults))
+/// call [`TraceSink::take_error`] after the drain and return
 /// [`SimError::Trace`](crate::SimError::Trace). The infallible
 /// [`execute_plan_with_sink`](crate::engine::execute_plan_with_sink) never
 /// fails because of a trace sink; with it, check `finish()`.

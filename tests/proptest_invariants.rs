@@ -9,8 +9,8 @@ use gridcast::core::{
 };
 use gridcast::plogp::{GapFunction, MessageSize, PLogP, Time};
 use gridcast::simulator::{
-    execute_plan_under_faults, FaultPlan, NodeCrash, NodeNetwork, NullSink, Outcome, RetryPolicy,
-    SendPlan, TraceEvent,
+    execute_plan_under_faults, execute_plan_with_sink, FaultPlan, FaultStats, NodeCrash,
+    NodeNetwork, NullSink, Outcome, RetryPolicy, SendPlan, SimulationOutcome, TraceEvent,
 };
 use gridcast::topology::clustering::synthesize_node_matrix;
 use gridcast::topology::{
@@ -31,6 +31,23 @@ fn problem_strategy() -> impl Strategy<Value = (BroadcastProblem, usize)> {
             clusters,
         )
     })
+}
+
+/// The bit patterns of a run's outcome and trace, for bitwise comparison
+/// (`Time`'s `==` is IEEE equality).
+fn run_bits(outcome: &SimulationOutcome, trace: &[TraceEvent]) -> Vec<u64> {
+    let mut bits = vec![
+        outcome.completion.as_secs().to_bits(),
+        outcome.messages as u64,
+        outcome.events_processed as u64,
+    ];
+    bits.extend(outcome.receive_times.iter().map(|t| t.as_secs().to_bits()));
+    for e in trace {
+        bits.push(e.kind as u64);
+        bits.push(e.time.as_secs().to_bits());
+        bits.push((u64::from(e.from.0) << 32) | u64::from(e.to.0));
+    }
+    bits
 }
 
 /// Reference implementations: straight transliterations of the pre-engine
@@ -442,7 +459,7 @@ proptest! {
         // One crash pinned bit-exactly to a fault-free reception instant (the
         // arrival-at-crash-instant tie), one scaled off the makespan so the
         // window covers both mid-broadcast and after-the-last-attempt.
-        let clean = gridcast::simulator::execute_plan_with_sink(
+        let clean = execute_plan_with_sink(
             &network, &plan, problem.message, Time::ZERO, &mut NullSink,
         );
         let nodes = grid.num_nodes();
@@ -491,6 +508,51 @@ proptest! {
                 prop_assert!(!undelivered.is_empty(), "silent incompleteness");
             }
         }
+    }
+
+    /// Fault-free parity of the fault executor on random inputs: under
+    /// `FaultPlan::new(seed)`, the plan of every heuristic and the
+    /// grid-unaware binomial baseline runs bit-identically to
+    /// `execute_plan_with_sink` from any start offset, outcome and full
+    /// trace, and reports no fault activity.
+    #[test]
+    fn fault_free_plans_run_bit_identically_to_the_plain_executor(
+        clusters in 2usize..=8,
+        seed in any::<u64>(),
+        root_idx in 0usize..8,
+        plan_idx in 0usize..8,
+        offset_ms in 0.0f64..50.0,
+    ) {
+        let grid = GridGenerator::table2().generate(clusters, &mut ChaCha8Rng::seed_from_u64(seed));
+        let root = ClusterId(root_idx % clusters);
+        let problem = BroadcastProblem::from_grid(&grid, root, MessageSize::from_mib(1));
+        let plan = match HeuristicKind::all().get(plan_idx) {
+            Some(&kind) => {
+                SendPlan::from_grid_schedule(&grid, &ScheduleEngine::new().schedule(&problem, kind))
+            }
+            None => SendPlan::binomial_over_all_nodes(&grid, root),
+        };
+        let network = NodeNetwork::new(&grid);
+        let start = Time::from_millis(offset_ms);
+        let mut plain_trace = Vec::new();
+        let plain = execute_plan_with_sink(&network, &plan, problem.message, start, &mut plain_trace);
+        let mut faulty_trace = Vec::new();
+        let run = execute_plan_under_faults(
+            &network, &plan, problem.message, start, &FaultPlan::new(seed),
+            &RetryPolicy::default(), &mut faulty_trace,
+        );
+        let outcome = match run {
+            Ok(outcome) => outcome,
+            Err(e) => return Err(TestCaseError::fail(format!("fault-free run failed: {e}"))),
+        };
+        prop_assert!(outcome.is_complete());
+        let sim = outcome.simulation();
+        let quiet = FaultStats { attempts: plain.messages, ..FaultStats::default() };
+        prop_assert_eq!(sim.stats, quiet);
+        prop_assert_eq!(
+            run_bits(&sim.outcome, &faulty_trace),
+            run_bits(&plain, &plain_trace)
+        );
     }
 
     /// Random grid generation always respects the configured parameter ranges.
