@@ -7,16 +7,11 @@
 //! list of [`SizedSend`]s, plus the execution mode) with a `Transport` (what
 //! becomes of each transmission):
 //!
-//! * [`execute_plan_with_sink`] runs a [`SendPlan`] over the reliable
-//!   transport: every send carries the broadcast message, is gated on the
-//!   machine's first arrival, and occupies the **sender's** interface only (a
-//!   receiving NIC can accept while sending — the full-duplex broadcast model
-//!   the Figure 5/6 reproduction was validated under);
-//! * [`execute_sized_plan_with_sink`] runs a [`SizedSendPlan`] over the
-//!   reliable transport: per-send payloads, `not_before`/`after_arrivals`
-//!   release gates, and **both-endpoint** interface occupancy (the
-//!   single-port model of `ScheduleEngine::schedule_transfers`, which makes
-//!   engine-predicted exchange makespans reproducible node-level);
+//! * [`execute_plan_with_sink`] runs a broadcast [`SendPlan`] (sender-only
+//!   interface occupancy) over the reliable transport;
+//! * [`execute_sized_plan_with_sink`] runs a [`SizedSendPlan`] (per-send
+//!   payloads and release gates, both-endpoint occupancy) over the reliable
+//!   transport;
 //! * [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults)
 //!   runs a [`SendPlan`], lowered as by the first, over the faulty transport
 //!   of [`crate::faults`].
@@ -280,29 +275,25 @@ pub(crate) trait Transport {
 
     /// Whether `node` is alive at `at`: a dead machine starts no
     /// transmission and receives no copy.
-    #[inline]
     fn alive(&self, _node: usize, _at: Time) -> bool {
         true
     }
 
     /// The earliest instant at or after `at` at which a transmission between
     /// the two clusters may start (applied after the wide-area wait).
-    #[inline]
     fn link_up(&self, _src: usize, _dst: usize, at: Time) -> Time {
         at
     }
 
     /// The gap of a transmission over the directed cluster link `src → dst`
     /// that starts at `start`.
-    #[inline]
     fn gap(&self, _src: usize, _dst: usize, _start: Time, gap: Time) -> Time {
         gap
     }
 
     /// Commits a transmission of send `send` of `from`, started at `start`:
     /// the kind of its trace record and what becomes of the copy.
-    #[inline]
-    fn transmit(
+    fn deliver(
         &mut self,
         _from: NodeId,
         _send: usize,
@@ -520,6 +511,19 @@ struct Run<'a, P, T, S> {
 }
 
 impl<P: EventProgram, T: Transport, S: TraceSink> Run<'_, P, T, S> {
+    /// Records one trace event, unless the sink is disabled.
+    #[inline]
+    fn trace(&mut self, kind: TraceKind, time: Time, from: NodeId, to: NodeId) {
+        if self.sink.enabled() {
+            self.sink.record(TraceEvent {
+                kind,
+                time,
+                from,
+                to,
+            });
+        }
+    }
+
     /// Schedules the next gated-and-ready send of `node`, if any. The
     /// attempt is queued at the earliest time the sender itself could start;
     /// destination-interface, wide-area and link constraints are resolved
@@ -582,15 +586,8 @@ impl<P: EventProgram, T: Transport, S: TraceSink> Run<'_, P, T, S> {
             self.wan.occupy(slot, release);
         }
         let latency = self.network.latency(from, send.to);
-        let (kind, delivery) = self.transport.transmit(from, k, send.to, now, gap, latency);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent {
-                kind,
-                time: now,
-                from,
-                to: send.to,
-            });
-        }
+        let (kind, delivery) = self.transport.deliver(from, k, send.to, now, gap, latency);
+        self.trace(kind, now, from, send.to);
         let arrival = EventKind::Arrival { from, to: send.to };
         match delivery {
             Delivery::Arrives { at, ghost } => {
@@ -685,14 +682,7 @@ fn execute_events<P: EventProgram, T: Transport, S: TraceSink>(
                     // dead NIC receives nothing.
                     continue;
                 }
-                if run.sink.enabled() {
-                    run.sink.record(TraceEvent {
-                        kind: TraceKind::Arrival,
-                        time: now,
-                        from,
-                        to,
-                    });
-                }
+                run.trace(TraceKind::Arrival, now, from, to);
                 run.arrivals[idx] += 1;
                 received_any[idx] = true;
                 first_arrival[idx] = first_arrival[idx].min(now);
@@ -703,16 +693,7 @@ fn execute_events<P: EventProgram, T: Transport, S: TraceSink>(
                 let (idx, k) = (node.index(), send as usize);
                 match run.transport.expire(idx, k, now) {
                     Expiry::Moot => {}
-                    Expiry::Drop => {
-                        if run.sink.enabled() {
-                            run.sink.record(TraceEvent {
-                                kind: TraceKind::Drop,
-                                time: now,
-                                from: node,
-                                to: program.send(idx, k).to,
-                            });
-                        }
-                    }
+                    Expiry::Drop => run.trace(TraceKind::Drop, now, node, program.send(idx, k).to),
                     Expiry::Retransmit => {
                         if let Some(at) = run.transmit(idx, k, now)? {
                             run.queue.push(at, event.kind)?;
@@ -720,16 +701,7 @@ fn execute_events<P: EventProgram, T: Transport, S: TraceSink>(
                     }
                 }
             }
-            EventKind::Crash { node } => {
-                if run.sink.enabled() {
-                    run.sink.record(TraceEvent {
-                        kind: TraceKind::Crash,
-                        time: now,
-                        from: node,
-                        to: node,
-                    });
-                }
-            }
+            EventKind::Crash { node } => run.trace(TraceKind::Crash, now, node, node),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Structured simulator errors.
 //!
-//! The discrete-event loop used to guard its clock with a *debug* assertion:
-//! release builds would silently reorder the simulation if INF−INF style
-//! arithmetic ever produced a corrupted time. The invariant is now checked on
-//! every push, in every build profile, and the fallible entry points
+//! The discrete-event loop checks its clock on every push, in every build
+//! profile: under a debug assertion, release builds would silently reorder
+//! the simulation if INF−INF style arithmetic ever produced a corrupted
+//! time. The fallible entry points
 //! ([`execute_sized_plan_with_sink`](crate::engine::execute_sized_plan_with_sink),
 //! [`execute_plan_under_faults`](crate::faults::execute_plan_under_faults))
 //! surface a violation as a structured [`SimError`] instead of corrupting the

@@ -421,7 +421,7 @@ impl Transport for Faulty<'_> {
         self.faults.capacity_gap(src, dst, start, gap)
     }
 
-    fn transmit(
+    fn deliver(
         &mut self,
         from: NodeId,
         send: usize,
