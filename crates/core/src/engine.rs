@@ -523,9 +523,6 @@ pub struct EngineTelemetry {
     /// Stale exchange-heap entries re-keyed and re-inserted after a pop found
     /// their stored completion outdated (an endpoint's interface moved).
     pub exchange_reinserts: u64,
-    /// Candidate completions evaluated by the retained O(T²) oracle scan
-    /// ([`ScheduleEngine::schedule_transfers_quadratic`]).
-    pub exchange_oracle_scans: u64,
     /// Commits replayed **verbatim** from a [`CommitLog`] during a warm-start
     /// run ([`ScheduleEngine::reschedule_perturbed`] and friends): the logged
     /// selection was trusted outright and only the event times were
@@ -2860,11 +2857,11 @@ impl ScheduleEngine {
     /// 16× reduction over the `O(T²)` oracle scan at 200 clusters, widening
     /// to 32× at 400. Byte-exact float semantics force each surfaced bound to
     /// be verified individually (rounded completions are not order-stable
-    /// under a common shift). The old scan is retained as
-    /// [`ScheduleEngine::schedule_transfers_quadratic`], the differential
-    /// oracle the proptests hold this implementation **byte-identical** to,
-    /// and the telemetry counters (`exchange_pops`, `exchange_reinserts`) pin
-    /// the work in `crates/core/tests/exchange_regression.rs`.
+    /// under a common shift). The facade's `tests/patterns_and_payloads.rs`
+    /// keeps the old scan as a test-only oracle and proptests this
+    /// implementation **byte-identical** to it; the telemetry counters
+    /// (`exchange_pops`, `exchange_reinserts`) pin the work in
+    /// `crates/core/tests/exchange_regression.rs`.
     pub fn schedule_transfers(&mut self, set: &TransferSet) -> ExchangeSchedule {
         let release = vec![Time::ZERO; set.num_clusters()];
         self.schedule_transfers_from(set, &release)
@@ -2941,76 +2938,6 @@ impl ScheduleEngine {
             });
         }
         debug_assert_eq!(out.len(), transfers.len());
-        ExchangeSchedule {
-            transfers: out,
-            interface_free: free.clone(),
-            last_arrival: last_arrival.clone(),
-        }
-    }
-
-    /// The original `O(T²)` earliest-completion-first scan, retained as the
-    /// **differential oracle** for [`ScheduleEngine::schedule_transfers`]:
-    /// the proptests assert the heap implementation is byte-identical to this
-    /// one on random transfer sets, and the scaling figure measures the two
-    /// against each other. Prefer `schedule_transfers` everywhere else.
-    pub fn schedule_transfers_quadratic(&mut self, set: &TransferSet) -> ExchangeSchedule {
-        let release = vec![Time::ZERO; set.num_clusters()];
-        self.schedule_transfers_quadratic_from(set, &release)
-    }
-
-    /// [`ScheduleEngine::schedule_transfers_quadratic`] with per-cluster
-    /// release times — the oracle twin of
-    /// [`ScheduleEngine::schedule_transfers_from`].
-    pub fn schedule_transfers_quadratic_from(
-        &mut self,
-        set: &TransferSet,
-        release: &[Time],
-    ) -> ExchangeSchedule {
-        let n = set.num_clusters();
-        assert_eq!(release.len(), n, "one release time per cluster");
-        let EngineState {
-            ready: free,
-            arrival: last_arrival,
-            telemetry,
-            ..
-        } = &mut self.state;
-        free.clear();
-        free.extend_from_slice(release);
-        last_arrival.clear();
-        last_arrival.resize(n, Time::ZERO);
-        let mut remaining: Vec<u32> = (0..set.transfers.len() as u32).collect();
-        let mut out = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let mut best_slot = 0usize;
-            let mut best_key = (Time::INFINITY, u32::MAX, u32::MAX, u32::MAX);
-            for (slot, &idx) in remaining.iter().enumerate() {
-                telemetry.exchange_oracle_scans += 1;
-                let t = &set.transfers[idx as usize];
-                let start = free[t.from.index()].max(free[t.to.index()]);
-                let completion = start + t.gap + t.latency;
-                debug_assert_score_not_nan(completion);
-                let key = (completion, t.from.index() as u32, t.to.index() as u32, idx);
-                if key < best_key {
-                    best_key = key;
-                    best_slot = slot;
-                }
-            }
-            let idx = remaining.swap_remove(best_slot);
-            let t = &set.transfers[idx as usize];
-            let start = free[t.from.index()].max(free[t.to.index()]);
-            let nic_release = start + t.gap;
-            let arrival = nic_release + t.latency;
-            free[t.from.index()] = nic_release;
-            free[t.to.index()] = nic_release;
-            last_arrival[t.to.index()] = last_arrival[t.to.index()].max(arrival);
-            out.push(TimedTransfer {
-                from: t.from,
-                to: t.to,
-                payload: t.payload,
-                start,
-                arrival,
-            });
-        }
         ExchangeSchedule {
             transfers: out,
             interface_free: free.clone(),
@@ -3652,69 +3579,6 @@ mod tests {
         let b = engine.schedule_transfers(&backward);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.interface_free, b.interface_free);
-    }
-
-    #[test]
-    fn transfer_heap_is_byte_identical_to_the_quadratic_oracle() {
-        // Mixed payload sizes on a random grid: the lazy-invalidation heap
-        // must reproduce the O(T²) oracle exactly — same commit order, same
-        // float bit patterns.
-        for clusters in [2usize, 5, 11, 23] {
-            let p = random_problem(clusters, 300 + clusters as u64);
-            let mut set = TransferSet::new(clusters);
-            for s in 0..clusters {
-                for r in 0..clusters {
-                    if s == r {
-                        continue;
-                    }
-                    let payload = MessageSize::from_kib(1 + ((s * 7 + r * 3) % 64) as u64);
-                    set.push(Transfer {
-                        from: ClusterId(s),
-                        to: ClusterId(r),
-                        payload,
-                        gap: p.gap(ClusterId(s), ClusterId(r)) * (1.0 + (r % 5) as f64 * 0.1),
-                        latency: p.latency(ClusterId(s), ClusterId(r)),
-                    });
-                }
-            }
-            let mut engine = ScheduleEngine::new();
-            let fast = engine.schedule_transfers(&set);
-            let oracle = engine.schedule_transfers_quadratic(&set);
-            assert_eq!(fast.transfers.len(), oracle.transfers.len());
-            for (a, b) in fast.transfers.iter().zip(&oracle.transfers) {
-                assert_eq!(a.from, b.from);
-                assert_eq!(a.to, b.to);
-                assert_eq!(a.start.as_secs().to_bits(), b.start.as_secs().to_bits());
-                assert_eq!(a.arrival.as_secs().to_bits(), b.arrival.as_secs().to_bits());
-            }
-            assert_eq!(fast.interface_free, oracle.interface_free);
-            assert_eq!(fast.last_arrival, oracle.last_arrival);
-        }
-    }
-
-    #[test]
-    fn release_times_gate_the_exchange_and_both_paths_agree() {
-        let mut set = TransferSet::new(3);
-        let mk = |from: usize, to: usize, gap_ms: f64, lat_ms: f64| Transfer {
-            from: ClusterId(from),
-            to: ClusterId(to),
-            payload: MessageSize::from_kib(1),
-            gap: Time::from_millis(gap_ms),
-            latency: Time::from_millis(lat_ms),
-        };
-        set.push(mk(0, 1, 10.0, 1.0));
-        set.push(mk(2, 1, 4.0, 1.0));
-        let release = [Time::from_millis(50.0), Time::ZERO, Time::ZERO];
-        let mut engine = ScheduleEngine::new();
-        let fast = engine.schedule_transfers_from(&set, &release);
-        let oracle = engine.schedule_transfers_quadratic_from(&set, &release);
-        assert_eq!(fast, oracle);
-        // Cluster 2 is free immediately; cluster 0's send waits for its
-        // release.
-        assert_eq!(fast.transfers[0].from, ClusterId(2));
-        assert_eq!(fast.transfers[0].start, Time::ZERO);
-        assert_eq!(fast.transfers[1].from, ClusterId(0));
-        assert_eq!(fast.transfers[1].start, Time::from_millis(50.0));
     }
 
     #[test]

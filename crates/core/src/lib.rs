@@ -29,16 +29,15 @@
 //!
 //! Clusters are split into set **A** (already reached) and set **B** (not yet
 //! reached). Each scheduling step picks a sender from A and a receiver from B;
-//! the receiver moves to A. [`ScheduleState`] maintains the sets together with
-//! per-cluster *ready times* (when the message is available / when the
-//! coordinator's network interface is free again), so every heuristic shares the
-//! exact same timing semantics and only differs in its selection rule.
+//! the receiver moves to A. Each cluster in A has a *ready time*: when it holds
+//! the message, pushed forward by the gap of every transfer it sends.
 //!
-//! That selection rule is a [`SelectionPolicy`]; the round loop itself lives in
-//! one place, the incremental, allocation-free [`ScheduleEngine`] ([`engine`]),
-//! which also drives non-broadcast patterns such as the scatter orderings of
-//! [`patterns`]. Heuristic structs and [`HeuristicKind::schedule`] are thin
-//! wrappers over the engine.
+//! Heuristics differ only in their selection rule, a [`SelectionPolicy`]. The
+//! round loop and its timing live in one place, the incremental,
+//! allocation-free [`ScheduleEngine`] ([`engine`]), which also drives
+//! non-broadcast patterns such as the scatter orderings of [`patterns`].
+//! Heuristic structs and [`HeuristicKind::schedule`] are thin wrappers over
+//! the engine.
 //!
 //! ```
 //! use gridcast_core::{BroadcastProblem, HeuristicKind};
@@ -65,7 +64,6 @@ pub mod perturb;
 pub mod pool;
 pub mod problem;
 pub mod schedule;
-pub mod state;
 
 pub use engine::{
     best_slot, CandidateTuple, Candidates, CommitLog, EdgeCosts, EngineTelemetry, EngineView,
@@ -85,4 +83,3 @@ pub use patterns::{
 pub use perturb::{warm_eligible, DeltaDirection, Perturbation, ReplayDelta, DROP_RELAY_FACTOR};
 pub use problem::BroadcastProblem;
 pub use schedule::{Schedule, ScheduleError, ScheduleEvent};
-pub use state::ScheduleState;

@@ -1,7 +1,8 @@
 //! Regenerates the gather/exchange-scheduler comparison: the relay-capable
 //! gather policies against the scatter dual on the GRID'5000 Table-3 grid
 //! (the curves coincide — the time-reversal duality made visible), and the
-//! lazy-invalidation exchange scheduler against the retained O(T²) oracle.
+//! work of the lazy-invalidation exchange scheduler (heap pops) against the
+//! T(T+1)/2 candidate scans of an O(T²) earliest-completion scan.
 
 use gridcast_experiments::{figures, ExperimentConfig};
 

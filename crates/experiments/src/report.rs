@@ -102,27 +102,31 @@ impl FigureResult {
 
     /// Renders the figure as an aligned text table: one row per x value, one
     /// column per series — the same rows the paper's plots are drawn from.
+    /// Each column is as wide as its widest cell, and two spaces separate
+    /// neighbouring columns.
     pub fn to_ascii_table(&self) -> String {
+        let mut rows = vec![std::iter::once(&self.x_label)
+            .chain(self.series.iter().map(|s| &s.label))
+            .cloned()
+            .collect::<Vec<String>>()];
+        for x in self.x_values() {
+            let mut row = vec![format!("{x:.3}")];
+            row.extend(self.series.iter().map(|s| match s.y_at(x) {
+                Some(y) => format!("{y:.4}"),
+                None => "-".to_owned(),
+            }));
+            rows.push(row);
+        }
+        let widths: Vec<usize> = (0..rows[0].len())
+            .map(|c| rows.iter().map(|r| r[c].chars().count()).max().unwrap_or(0))
+            .collect();
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let _ = writeln!(out, "# y: {}", self.y_label);
-        let width = 14usize;
-        let _ = write!(out, "{:>width$}", self.x_label, width = width);
-        for s in &self.series {
-            let _ = write!(out, "{:>width$}", s.label, width = width);
-        }
-        let _ = writeln!(out);
-        for x in self.x_values() {
-            let _ = write!(out, "{:>width$.3}", x, width = width);
-            for s in &self.series {
-                match s.y_at(x) {
-                    Some(y) => {
-                        let _ = write!(out, "{:>width$.4}", y, width = width);
-                    }
-                    None => {
-                        let _ = write!(out, "{:>width$}", "-", width = width);
-                    }
-                }
+        for row in &rows {
+            for (c, (cell, &width)) in row.iter().zip(&widths).enumerate() {
+                let gap = if c == 0 { "" } else { "  " };
+                let _ = write!(out, "{gap}{cell:>width$}");
             }
             let _ = writeln!(out);
         }
@@ -177,6 +181,31 @@ mod tests {
         assert_eq!(table.lines().count(), 3 + 2);
         assert!(table.contains("2.000"));
         assert!(table.contains("1.1000"));
+    }
+
+    #[test]
+    fn wide_cells_widen_their_column_and_never_touch_a_neighbour() {
+        let mut fig = FigureResult::new("Wide", "transfers (T)", "work");
+        fig.push(Series::new(
+            "Heap pops (lazy invalidation)",
+            vec![(22350.0, 2840726.0)],
+        ));
+        fig.push(Series::new(
+            "Oracle scans (T(T+1)/2)",
+            vec![(22350.0, 249772425.0)],
+        ));
+        let table = fig.to_ascii_table();
+        let lines: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(
+            lines[0],
+            "transfers (T)  Heap pops (lazy invalidation)  Oracle scans (T(T+1)/2)"
+        );
+        assert_eq!(
+            lines[1].split_whitespace().collect::<Vec<_>>(),
+            ["22350.000", "2840726.0000", "249772425.0000"]
+        );
+        // Right-aligned columns: every row ends at the same column.
+        assert_eq!(lines[0].chars().count(), lines[1].chars().count());
     }
 
     #[test]

@@ -1,25 +1,25 @@
 //! The paper's figures and tables pinned value by value.
 //!
 //! The shape tests elsewhere would pass a change that moved a figure by 10 %;
-//! this test hashes every output that reads no clock into one digest each and
+//! this test hashes every figure and table output into one digest each and
 //! compares the digests with `pinned/figures.txt`:
 //!
 //! * Figures 1–4, the mixed-strategy figure and the scaling sweep (the
-//!   Monte-Carlo runner), Figure 5, the gather, scatter and all-to-all
-//!   panels, the what-if and the fault-storm figures: FNV-1a over the bit
-//!   pattern of every series point;
+//!   Monte-Carlo runner), Figures 5 and 6, the gather panel and the
+//!   exchange-scheduler panel, the scatter and all-to-all panels, the
+//!   what-if and the fault-storm figures: FNV-1a over the bit pattern of
+//!   every series point;
 //! * Tables 1–3: FNV-1a over the rendered text.
 //!
-//! Two outputs stay unpinned because they plot wall-clock time. Figure 6
-//! executes each heuristic through `Simulator::run_heuristic`, which charges
-//! the measured scheduling time as start-up overhead, and
-//! `gather::run_exchange` plots milliseconds per exchange schedule.
+//! No output reads a clock: Figure 6 charges no scheduling time, and the
+//! exchange panel counts work (heap pops, oracle scans) rather than timing
+//! it.
 //!
 //! A mismatch prints the regenerated file. Re-pin only for a change that is
 //! meant to move the numbers, and state its cause in the change log.
 
 use gridcast_experiments::figures::{
-    faults, fig1, fig2, fig3, fig4, fig5, gather, mixed, patterns, scaling, whatif,
+    faults, fig1, fig2, fig3, fig4, fig5, fig6, gather, mixed, patterns, scaling, whatif,
 };
 use gridcast_experiments::{tables, ExperimentConfig, FigureResult};
 use std::fmt::Write as _;
@@ -64,7 +64,9 @@ fn regenerate() -> String {
         ("mixed_strategy", mixed::run(&config)),
         ("scaling_sweep", scaling::run(&config)),
         ("fig5", fig5::run(&config)),
+        ("fig6", fig6::run(&config)),
         ("gather", gather::run(&config)),
+        ("exchange", gather::run_exchange(&config)),
         ("patterns", patterns::run(&config)),
         ("alltoall", patterns::run_alltoall(&config)),
         ("whatif", whatif::run(&config)),

@@ -480,6 +480,10 @@ impl Server {
     /// [`Server::handle_batch`] over lines some of which the reader already
     /// refused: `Err(len)` stands for a line of `len` bytes that was longer
     /// than [`ServerConfig::max_line_bytes`] and never buffered.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the daemon's per-batch latency stamp is wall-clock time by definition"
+    )]
     fn handle_lines<'a>(
         &mut self,
         lines: impl ExactSizeIterator<Item = Result<&'a str, usize>>,

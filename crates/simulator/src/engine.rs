@@ -372,7 +372,7 @@ impl WanChannels {
 }
 
 /// Executes a [`SendPlan`] over a [`NodeNetwork`] for a message of size `m`,
-/// starting at time `start_offset` (used to account for scheduling overhead).
+/// starting at time `start_offset`.
 ///
 /// Semantics (the broadcast lowering of the event core):
 ///
@@ -501,8 +501,7 @@ struct Run<'a, P, T, S> {
     sink: &'a mut S,
     queue: EventQueue,
     wan: WanChannels,
-    /// Interface free times; `start_offset` models the pre-simulation phase
-    /// (e.g. scheduling overhead) during which no machine may transmit.
+    /// Interface free times; no machine transmits before `start_offset`.
     nic_free: Vec<Time>,
     arrivals: Vec<u32>,
     cursor: Vec<usize>,

@@ -4,9 +4,8 @@
 use crate::engine::execute_plan_with_sink;
 use crate::network::NodeNetwork;
 use crate::outcome::SimulationOutcome;
-use crate::overhead::measure_scheduling_overhead;
 use crate::plan::SendPlan;
-use crate::trace::{NullSink, TraceEvent};
+use crate::trace::NullSink;
 use gridcast_core::{BroadcastProblem, HeuristicKind, Schedule};
 use gridcast_plogp::{MessageSize, Time};
 use gridcast_topology::{ClusterId, Grid};
@@ -15,9 +14,9 @@ use gridcast_topology::{ClusterId, Grid};
 ///
 /// This plays the role of the paper's modified MagPIe library running on
 /// GRID'5000: it takes a scheduling heuristic, computes the inter-cluster
-/// schedule (optionally charging its computation time), realises it as a
-/// node-level plan with binomial intra-cluster trees, and measures the resulting
-/// completion time with the discrete-event engine.
+/// schedule, realises it as a node-level plan with binomial intra-cluster
+/// trees, and measures the resulting completion time with the discrete-event
+/// engine.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     grid: Grid,
@@ -50,59 +49,35 @@ impl Simulator {
         BroadcastProblem::from_grid(&self.grid, root, self.message)
     }
 
-    /// Executes an already-computed inter-cluster schedule, charging
-    /// `scheduling_overhead` before the first message leaves the root.
-    pub fn execute_schedule(
-        &self,
-        schedule: &Schedule,
-        scheduling_overhead: Time,
-    ) -> SimulationOutcome {
-        self.execute_schedule_with_sink(schedule, scheduling_overhead, &mut NullSink)
-    }
-
-    /// Executes an already-computed schedule and records the full trace.
-    pub fn execute_schedule_traced(
-        &self,
-        schedule: &Schedule,
-        scheduling_overhead: Time,
-    ) -> (SimulationOutcome, Vec<TraceEvent>) {
-        let mut trace = Vec::new();
-        let outcome = self.execute_schedule_with_sink(schedule, scheduling_overhead, &mut trace);
-        (outcome, trace)
+    /// Executes an already-computed inter-cluster schedule; the root holds
+    /// the message at time zero.
+    pub fn execute_schedule(&self, schedule: &Schedule) -> SimulationOutcome {
+        self.execute_schedule_with_sink(schedule, &mut NullSink)
     }
 
     /// Executes an already-computed schedule with a caller-chosen
-    /// [`TraceSink`](crate::trace::TraceSink) — the one schedule-execution
-    /// entry point the plain and traced wrappers above delegate to, and the
-    /// way to stream a trace instead of materialising it.
+    /// [`TraceSink`](crate::trace::TraceSink): a `Vec<TraceEvent>` retains
+    /// the trace, a [`StreamingSink`](crate::trace::StreamingSink) streams it
+    /// instead of materialising it.
     pub fn execute_schedule_with_sink<S: crate::trace::TraceSink>(
         &self,
         schedule: &Schedule,
-        scheduling_overhead: Time,
         sink: &mut S,
     ) -> SimulationOutcome {
         let plan = SendPlan::from_grid_schedule(&self.grid, schedule);
-        crate::engine::execute_plan_with_sink(
-            &self.network,
-            &plan,
-            self.message,
-            scheduling_overhead,
-            sink,
-        )
+        execute_plan_with_sink(&self.network, &plan, self.message, Time::ZERO, sink)
     }
 
-    /// Schedules the broadcast with `kind` rooted at `root` and executes it,
-    /// charging the measured wall-clock scheduling cost as start-up overhead
-    /// (the paper's Section 7 concern about algorithm complexity).
+    /// Schedules the broadcast with `kind` rooted at `root` and executes it.
+    /// The scheduling time itself is not charged (see the crate docs), so
+    /// the result depends on the grid, the message and `kind` alone.
     pub fn run_heuristic(
         &self,
         kind: HeuristicKind,
         root: ClusterId,
     ) -> (Schedule, SimulationOutcome) {
-        let problem = self.problem(root);
-        let overhead = measure_scheduling_overhead(kind, &problem, 3);
-        let schedule = kind.schedule(&problem);
-        let outcome = self.execute_schedule(&schedule, overhead);
+        let schedule = kind.schedule(&self.problem(root));
+        let outcome = self.execute_schedule(&schedule);
         (schedule, outcome)
     }
 
@@ -207,8 +182,9 @@ mod tests {
         let sim = simulator(1);
         let root = ClusterId(2);
         let schedule = HeuristicKind::BottomUp.schedule(&sim.problem(root));
-        let plain = sim.execute_schedule(&schedule, Time::ZERO);
-        let (traced, trace) = sim.execute_schedule_traced(&schedule, Time::ZERO);
+        let plain = sim.execute_schedule(&schedule);
+        let mut trace: Vec<crate::trace::TraceEvent> = Vec::new();
+        let traced = sim.execute_schedule_with_sink(&schedule, &mut trace);
         assert_eq!(plain.completion, traced.completion);
         assert!(!trace.is_empty());
     }
@@ -235,11 +211,10 @@ mod tests {
         for root in sim.grid().cluster_ids() {
             let (_, outcome) = sim.run_heuristic(HeuristicKind::EcefLaMax, root);
             assert!(outcome.completion.is_finite());
-            // The root coordinator never receives over the network; it holds the
-            // message as soon as the scheduling overhead has been paid, long
-            // before any wide-area transfer could complete.
+            // The root coordinator never receives over the network, and no
+            // scheduling time is charged: it holds the message at time zero.
             let root_time = outcome.receive_time(sim.grid().coordinator(root));
-            assert!(root_time < Time::from_millis(100.0));
+            assert_eq!(root_time, Time::ZERO);
         }
     }
 }

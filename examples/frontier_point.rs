@@ -6,6 +6,11 @@
 //! cargo run --release --example frontier_point [clusters]
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a manual timing demonstration: it prints the wall-clock time of one large batch"
+)]
+
 use gridcast::core::{HeuristicKind, ScheduleEngine};
 use gridcast::prelude::*;
 use gridcast::topology::GridGenerator;

@@ -31,7 +31,7 @@ fn main() {
         ] {
             let schedule = kind.schedule(&problem);
             let predicted = schedule.makespan();
-            let simulated = simulator.execute_schedule(&schedule, Time::ZERO).completion;
+            let simulated = simulator.execute_schedule(&schedule).completion;
             println!(
                 "{:<12} {:>14} {:>13.3}s {:>13.3}s",
                 format!("{mib} MiB"),

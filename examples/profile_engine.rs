@@ -9,6 +9,11 @@
 //! under external interference. The engine counters printed next to each
 //! heuristic are those of one run.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a manual profiling tool: it prints wall-clock timings next to the engine counters"
+)]
+
 use gridcast::core::{EngineTelemetry, HeuristicKind, ScheduleEngine, DEFAULT_K_BEST};
 use gridcast::prelude::*;
 use gridcast::topology::GridGenerator;

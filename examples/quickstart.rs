@@ -44,14 +44,14 @@ fn main() {
     // 3. Execute the schedule on the discrete-event simulator and compare the
     //    measured completion with the prediction.
     let simulator = Simulator::new(&grid, message);
-    let outcome = simulator.execute_schedule(&schedule, Time::ZERO);
+    let outcome = simulator.execute_schedule(&schedule);
     println!("simulated completion: {}", outcome.completion);
     println!("last machine to receive: {:?}", outcome.last_receiver());
 
     // 4. Compare against the naive flat tree — the strategy the paper's
     //    grid-aware heuristics were designed to replace.
     let flat = HeuristicKind::FlatTree.schedule(&problem);
-    let flat_outcome = simulator.execute_schedule(&flat, Time::ZERO);
+    let flat_outcome = simulator.execute_schedule(&flat);
     println!(
         "\nflat tree would need {} ({:.1}x slower)",
         flat_outcome.completion,

@@ -24,7 +24,7 @@ fn full_pipeline_on_random_grids() {
                 .validate(&problem)
                 .unwrap_or_else(|e| panic!("{kind} on {clusters} clusters: {e}"));
             assert!(schedule.makespan() >= problem.lower_bound());
-            let outcome = simulator.execute_schedule(&schedule, Time::ZERO);
+            let outcome = simulator.execute_schedule(&schedule);
             assert!(outcome.completion.is_finite(), "{kind}");
             assert!(
                 outcome.receive_times.iter().all(|t| t.is_finite()),
@@ -43,7 +43,7 @@ fn grid5000_pipeline_reproduces_the_paper_ordering() {
 
     let measure = |kind: HeuristicKind| {
         let schedule = kind.schedule(&problem);
-        simulator.execute_schedule(&schedule, Time::ZERO).completion
+        simulator.execute_schedule(&schedule).completion
     };
 
     let flat = measure(HeuristicKind::FlatTree);
@@ -118,6 +118,6 @@ fn facade_prelude_supports_the_documented_workflow() {
     let schedule = HeuristicKind::EcefLaMax.schedule(&problem);
     assert!(schedule.makespan() > Time::ZERO);
     let simulator = Simulator::new(&grid, MessageSize::from_mib(1));
-    let outcome: SimulationOutcome = simulator.execute_schedule(&schedule, Time::ZERO);
+    let outcome: SimulationOutcome = simulator.execute_schedule(&schedule);
     assert!(outcome.completion >= schedule.makespan() * 0.5);
 }

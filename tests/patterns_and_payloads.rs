@@ -15,8 +15,9 @@
 //!   policy, and gather brute force (forward-timed, no mirror involved)
 //!   brackets the greedy on ≤5-cluster instances,
 //! * **exchange-scheduler parity**: the lazy-invalidation heap behind
-//!   `schedule_transfers` is byte-identical to the retained O(T²) oracle on
-//!   random transfer sets with mixed payloads and release times, and
+//!   `schedule_transfers` is byte-identical to the O(T²) scan it replaced,
+//!   kept here as the oracle `schedule_transfers_quadratic`, on random
+//!   transfer sets with mixed payloads and release times, and
 //! * **simulator conformance**: `execute_sized_plan_with_sink` on
 //!   gather/allgather plans reproduces the engine-predicted makespan exactly
 //!   on grids with pair-symmetric latencies (GRID'5000 included) and within
@@ -33,8 +34,9 @@ use gridcast::core::patterns::{
     allgather_estimate, allgather_schedule, alltoall_estimate, alltoall_schedule,
 };
 use gridcast::core::{
-    BroadcastProblem, EdgeCosts, HeuristicKind, RelayGatherProblem, RelayOrdering,
-    RelayScatterProblem, ScatterOrdering, ScatterProblem, ScheduleEngine, Transfer, TransferSet,
+    BroadcastProblem, EdgeCosts, ExchangeSchedule, HeuristicKind, RelayGatherProblem,
+    RelayOrdering, RelayScatterProblem, ScatterOrdering, ScatterProblem, ScheduleEngine,
+    TimedTransfer, Transfer, TransferSet,
 };
 use gridcast::plogp::{MessageSize, PLogP, Time};
 use gridcast::simulator::{
@@ -328,8 +330,8 @@ proptest! {
     }
 
     /// **Exchange-scheduler parity**: the lazy-invalidation heap behind
-    /// `schedule_transfers` produces byte-identical schedules to the retained
-    /// O(T²) oracle on random transfer sets — mixed payload sizes, up to 64
+    /// `schedule_transfers` produces byte-identical schedules to the O(T²)
+    /// oracle on random transfer sets — mixed payload sizes, up to 64
     /// clusters, duplicate pairs allowed, random release times included.
     #[test]
     fn exchange_heap_is_byte_identical_to_the_oracle(
@@ -364,7 +366,8 @@ proptest! {
             .collect();
         let mut engine = ScheduleEngine::new();
         let fast = engine.schedule_transfers_from(&set, &release);
-        let oracle = engine.schedule_transfers_quadratic_from(&set, &release);
+        let (oracle, scans) = schedule_transfers_quadratic(&set, &release);
+        prop_assert_eq!(scans, (transfers * (transfers + 1) / 2) as u64);
         prop_assert_eq!(fast.transfers.len(), oracle.transfers.len());
         for (a, b) in fast.transfers.iter().zip(&oracle.transfers) {
             prop_assert!(
@@ -381,6 +384,127 @@ proptest! {
         prop_assert_eq!(fast_free, oracle_free);
         prop_assert_eq!(fast.last_arrival, oracle.last_arrival);
     }
+}
+
+/// The O(T²) earliest-completion-first scan that the exchange heap
+/// replaced, kept as its differential oracle: each round scans every pending
+/// transfer and commits the one with the smallest
+/// `(completion, from, to, insertion index)`, where the completion is
+/// `max(free_src, free_dst) + g + L`. Cluster `i`'s interface is free from
+/// `release[i]`. Returns the schedule and the number of candidate
+/// completions evaluated, which is exactly T(T+1)/2.
+fn schedule_transfers_quadratic(set: &TransferSet, release: &[Time]) -> (ExchangeSchedule, u64) {
+    let n = set.num_clusters();
+    assert_eq!(release.len(), n, "one release time per cluster");
+    let transfers = set.transfers();
+    let mut free = release.to_vec();
+    let mut last_arrival = vec![Time::ZERO; n];
+    let mut remaining: Vec<u32> = (0..transfers.len() as u32).collect();
+    let mut out = Vec::with_capacity(remaining.len());
+    let mut scans = 0u64;
+    while !remaining.is_empty() {
+        let mut best_slot = 0usize;
+        let mut best_key = (Time::INFINITY, u32::MAX, u32::MAX, u32::MAX);
+        for (slot, &idx) in remaining.iter().enumerate() {
+            scans += 1;
+            let t = &transfers[idx as usize];
+            let start = free[t.from.index()].max(free[t.to.index()]);
+            let completion = start + t.gap + t.latency;
+            let key = (completion, t.from.index() as u32, t.to.index() as u32, idx);
+            if key < best_key {
+                best_key = key;
+                best_slot = slot;
+            }
+        }
+        let idx = remaining.swap_remove(best_slot);
+        let t = &transfers[idx as usize];
+        let start = free[t.from.index()].max(free[t.to.index()]);
+        let nic_release = start + t.gap;
+        let arrival = nic_release + t.latency;
+        free[t.from.index()] = nic_release;
+        free[t.to.index()] = nic_release;
+        last_arrival[t.to.index()] = last_arrival[t.to.index()].max(arrival);
+        out.push(TimedTransfer {
+            from: t.from,
+            to: t.to,
+            payload: t.payload,
+            start,
+            arrival,
+        });
+    }
+    let schedule = ExchangeSchedule {
+        transfers: out,
+        interface_free: free,
+        last_arrival,
+    };
+    (schedule, scans)
+}
+
+#[test]
+fn transfer_heap_is_byte_identical_to_the_quadratic_oracle() {
+    // Mixed payload sizes on a random grid: the lazy-invalidation heap
+    // must reproduce the O(T²) oracle exactly — same commit order, same
+    // float bit patterns.
+    for clusters in [2usize, 5, 11, 23] {
+        let grid = GridGenerator::table2().generate(
+            clusters,
+            &mut ChaCha8Rng::seed_from_u64(300 + clusters as u64),
+        );
+        let p = BroadcastProblem::from_grid(&grid, ClusterId(0), MessageSize::from_mib(1));
+        let mut set = TransferSet::new(clusters);
+        for s in 0..clusters {
+            for r in 0..clusters {
+                if s == r {
+                    continue;
+                }
+                let payload = MessageSize::from_kib(1 + ((s * 7 + r * 3) % 64) as u64);
+                set.push(Transfer {
+                    from: ClusterId(s),
+                    to: ClusterId(r),
+                    payload,
+                    gap: p.gap(ClusterId(s), ClusterId(r)) * (1.0 + (r % 5) as f64 * 0.1),
+                    latency: p.latency(ClusterId(s), ClusterId(r)),
+                });
+            }
+        }
+        let mut engine = ScheduleEngine::new();
+        let fast = engine.schedule_transfers(&set);
+        let (oracle, _) = schedule_transfers_quadratic(&set, &vec![Time::ZERO; clusters]);
+        assert_eq!(fast.transfers.len(), oracle.transfers.len());
+        for (a, b) in fast.transfers.iter().zip(&oracle.transfers) {
+            assert_eq!(a.from, b.from);
+            assert_eq!(a.to, b.to);
+            assert_eq!(a.start.as_secs().to_bits(), b.start.as_secs().to_bits());
+            assert_eq!(a.arrival.as_secs().to_bits(), b.arrival.as_secs().to_bits());
+        }
+        assert_eq!(fast.interface_free, oracle.interface_free);
+        assert_eq!(fast.last_arrival, oracle.last_arrival);
+    }
+}
+
+#[test]
+fn release_times_gate_the_exchange_and_both_paths_agree() {
+    let mut set = TransferSet::new(3);
+    let mk = |from: usize, to: usize, gap_ms: f64, lat_ms: f64| Transfer {
+        from: ClusterId(from),
+        to: ClusterId(to),
+        payload: MessageSize::from_kib(1),
+        gap: Time::from_millis(gap_ms),
+        latency: Time::from_millis(lat_ms),
+    };
+    set.push(mk(0, 1, 10.0, 1.0));
+    set.push(mk(2, 1, 4.0, 1.0));
+    let release = [Time::from_millis(50.0), Time::ZERO, Time::ZERO];
+    let mut engine = ScheduleEngine::new();
+    let fast = engine.schedule_transfers_from(&set, &release);
+    let (oracle, _) = schedule_transfers_quadratic(&set, &release);
+    assert_eq!(fast, oracle);
+    // Cluster 2 is free immediately; cluster 0's send waits for its
+    // release.
+    assert_eq!(fast.transfers[0].from, ClusterId(2));
+    assert_eq!(fast.transfers[0].start, Time::ZERO);
+    assert_eq!(fast.transfers[1].from, ClusterId(0));
+    assert_eq!(fast.transfers[1].start, Time::from_millis(50.0));
 }
 
 /// A grid of `n` singleton clusters with identical modelled links everywhere —

@@ -58,7 +58,7 @@ fn simulation_outcomes_serialise() {
     let grid = grid5000_table3();
     let sim = Simulator::new(&grid, MessageSize::from_mib(1));
     let schedule = HeuristicKind::Ecef.schedule(&sim.problem(ClusterId(0)));
-    let outcome = sim.execute_schedule(&schedule, Time::ZERO);
+    let outcome = sim.execute_schedule(&schedule);
     let json = serde_json::to_string(&outcome).unwrap();
     let back: SimulationOutcome = serde_json::from_str(&json).unwrap();
     assert_eq!(outcome, back);
